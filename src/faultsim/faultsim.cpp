@@ -2,19 +2,12 @@
 
 #include <stdexcept>
 
-#include "util/byteorder.h"
+#include "pcap/pcap.h"
 #include "util/rng.h"
 
 namespace netsample::faultsim {
 
 namespace {
-
-// Classic pcap framing (mirrors pcap.cpp; the format is frozen, so the
-// duplication is two integers).
-constexpr std::size_t kGlobalHeaderSize = 24;
-constexpr std::size_t kRecordHeaderSize = 16;
-constexpr std::uint32_t kMagicNative = 0xA1B2C3D4u;
-constexpr std::uint32_t kMagicSwapped = 0xD4C3B2A1u;
 
 // Clock glitches and jumps are drawn in (1 us, ~2 s] — large enough to
 // disturb interarrival statistics, small enough that salvage resync still
@@ -33,10 +26,6 @@ void validate(const ImpairmentSpec& spec) {
 
 bool is_byte_level(Fault f) {
   return f == Fault::kTruncateRecords || f == Fault::kBitFlips;
-}
-
-std::uint32_t read_u32(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be32(p) : load_le32(p);
 }
 
 }  // namespace
@@ -81,21 +70,12 @@ ImpairmentReport impair_pcap_bytes(std::vector<std::uint8_t>& bytes,
         " is a record-level fault; use impair_records");
   }
   ImpairmentReport report;
-  if (bytes.size() < kGlobalHeaderSize) return report;
-  const std::uint32_t magic_le = load_le32(bytes.data());
-  bool swapped;
-  if (magic_le == kMagicNative) {
-    swapped = false;
-  } else if (magic_le == kMagicSwapped) {
-    swapped = true;
-  } else {
-    return report;  // not a classic pcap image; leave untouched
-  }
-  const std::uint32_t snaplen = read_u32(bytes.data() + 16, swapped);
 
   // Walk the intact framing first: mutations shift offsets, so decisions are
   // made in record order (deterministic RNG sequence) and byte edits are
-  // applied back-to-front against the original offsets.
+  // applied back-to-front against the original offsets. The walk is
+  // pcap::parse's own cursor, truncating at the first bad frame, so an
+  // image that is not a capture (or is already corrupt) is left as it is.
   struct Edit {
     std::size_t erase_begin{0};  // truncation: byte range to delete
     std::size_t erase_len{0};
@@ -104,14 +84,18 @@ ImpairmentReport impair_pcap_bytes(std::vector<std::uint8_t>& bytes,
   };
   std::vector<Edit> edits;
   Rng rng(spec.seed);
-  std::size_t off = kGlobalHeaderSize;
-  while (off + kRecordHeaderSize <= bytes.size()) {
-    const std::uint32_t incl_len = read_u32(bytes.data() + off + 8, swapped);
-    if (incl_len > snaplen + 4096 ||
-        off + kRecordHeaderSize + incl_len > bytes.size()) {
-      break;  // already-corrupt input: stop at the first bad frame
-    }
-    const std::size_t data_begin = off + kRecordHeaderSize;
+  pcap::RecordCursor cursor;
+  const std::span<const std::uint8_t> image(bytes);
+  std::size_t off = 0;
+  for (;;) {
+    const auto step = cursor.next(image.subspan(off), true);
+    off += cursor.consumed();
+    if (step == pcap::RecordCursor::Step::kEnd) break;
+    if (step != pcap::RecordCursor::Step::kRecord) continue;
+    const std::span<const std::uint8_t> data = cursor.record().data;
+    const std::size_t data_begin =
+        static_cast<std::size_t>(data.data() - bytes.data());
+    const std::uint64_t incl_len = data.size();
     if (incl_len > 0 && rng.bernoulli(spec.intensity)) {
       ++report.affected;
       Edit e;
@@ -127,7 +111,6 @@ ImpairmentReport impair_pcap_bytes(std::vector<std::uint8_t>& bytes,
       }
       edits.push_back(e);
     }
-    off = data_begin + incl_len;
   }
 
   for (auto it = edits.rbegin(); it != edits.rend(); ++it) {

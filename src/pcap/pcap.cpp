@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <utility>
 
 #include "net/headers.h"
 #include "obs/metrics.h"
@@ -13,7 +16,6 @@ namespace netsample::pcap {
 namespace {
 
 constexpr std::size_t kGlobalHeaderSize = 24;
-constexpr std::size_t kRecordHeaderSize = 16;
 constexpr std::size_t kEthernetHeaderSize = 14;
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
 
@@ -25,13 +27,9 @@ std::uint16_t read_u16(const std::uint8_t* p, bool swapped) {
   return swapped ? load_be16(p) : load_le16(p);
 }
 
-}  // namespace
-
-namespace {
-
 // A record whose claimed capture length is this far past the snaplen is
 // framing garbage (bit flip or desync), not a generous writer.
-constexpr std::uint32_t kInclLenSlack = 4096;
+constexpr std::uint64_t kInclLenSlack = 4096;
 
 // Salvage resync: clock jumps this large between adjacent records mark a
 // candidate header as implausible. Generous on purpose — the goal is to
@@ -39,159 +37,155 @@ constexpr std::uint32_t kInclLenSlack = 4096;
 // small reorderings anyway).
 constexpr std::uint32_t kMaxResyncClockJumpSec = 86400;
 
-// Does `off` look like the start of an intact record header? Used only while
-// resyncing after corruption, where a false positive costs one garbage
-// record and a false negative costs a little more skipped data.
-bool plausible_record_at(std::span<const std::uint8_t> bytes, std::size_t off,
-                         bool swapped, std::uint32_t snaplen,
-                         std::uint32_t prev_ts_sec) {
-  if (off + kRecordHeaderSize > bytes.size()) return false;
-  const std::uint32_t ts_sec = read_u32(bytes.data() + off, swapped);
-  const std::uint32_t ts_usec = read_u32(bytes.data() + off + 4, swapped);
-  const std::uint32_t incl_len = read_u32(bytes.data() + off + 8, swapped);
-  if (incl_len > snaplen + kInclLenSlack) return false;
-  if (off + kRecordHeaderSize + incl_len > bytes.size()) return false;
-  if (ts_usec >= 1000000) return false;
-  if (ts_sec < prev_ts_sec) return false;
-  if (ts_sec - prev_ts_sec > kMaxResyncClockJumpSec) return false;
-  return true;
-}
-
 // Ingest counters are pure functions of the capture bytes, so they belong
-// to the deterministic metrics section. Published once per parse()/decode()
-// via scope guards (both functions have several exit paths).
-void publish_parse_stats(const ParseStats& s) {
+// to the deterministic metrics section. Published once per parse()/decode().
+void publish(
+    std::initializer_list<std::pair<const char*, std::size_t>> counters) {
   if (!obs::enabled()) return;
-  auto& reg = obs::registry();
-  static obs::Counter& records = reg.counter("netsample_pcap_records_total");
-  static obs::Counter& corrupt =
-      reg.counter("netsample_pcap_corrupt_records_total");
-  static obs::Counter& skipped =
-      reg.counter("netsample_pcap_skipped_bytes_total");
-  static obs::Counter& torn =
-      reg.counter("netsample_pcap_torn_tail_bytes_total");
-  records.add(s.records);
-  corrupt.add(s.corrupt_records);
-  skipped.add(s.skipped_bytes);
-  torn.add(s.torn_tail_bytes);
+  for (const auto& [name, value] : counters) {
+    obs::registry().counter(name).add(value);
+  }
 }
-
-void publish_decode_stats(const DecodeStats& s) {
-  if (!obs::enabled()) return;
-  auto& reg = obs::registry();
-  static obs::Counter& decoded =
-      reg.counter("netsample_pcap_packets_decoded_total");
-  static obs::Counter& non_ipv4 = reg.counter("netsample_pcap_non_ipv4_total");
-  static obs::Counter& malformed =
-      reg.counter("netsample_pcap_malformed_total");
-  static obs::Counter& out_of_order =
-      reg.counter("netsample_pcap_out_of_order_total");
-  decoded.add(s.decoded);
-  non_ipv4.add(s.non_ipv4);
-  malformed.add(s.malformed);
-  out_of_order.add(s.out_of_order);
-}
-
-struct ParseStatsPublisher {
-  const ParseStats& s;
-  ~ParseStatsPublisher() { publish_parse_stats(s); }
-};
-struct DecodeStatsPublisher {
-  const DecodeStats& s;
-  ~DecodeStatsPublisher() { publish_decode_stats(s); }
-};
 
 }  // namespace
 
-StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes,
-                            const ParseOptions& options, ParseStats* stats) {
-  ParseStats local;
-  ParseStatsPublisher publisher{local};
-  if (bytes.size() < kGlobalHeaderSize) {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kDataLoss,
-                  "pcap: file shorter than global header (" +
-                      std::to_string(bytes.size()) + " bytes)");
-  }
-  // The magic is stored in the writer's host order; reading it little-endian
-  // and seeing the swapped constant means the writer was big-endian.
-  const std::uint32_t magic_le = load_le32(bytes.data());
-  bool swapped;
-  if (magic_le == kMagicNative) {
-    swapped = false;
-  } else if (magic_le == kMagicSwapped) {
-    swapped = true;
-  } else {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kInvalidArgument,
-                  "pcap: bad magic (not a classic pcap file)");
-  }
-
-  CaptureFile file;
-  file.byte_swapped = swapped;
-  const std::uint16_t major = read_u16(bytes.data() + 4, swapped);
-  if (major != kVersionMajor) {
-    if (stats != nullptr) *stats = local;
-    return Status(StatusCode::kUnimplemented,
-                  "pcap: unsupported version " + std::to_string(major));
-  }
-  file.snaplen = read_u32(bytes.data() + 16, swapped);
-  file.link_type = read_u32(bytes.data() + 20, swapped);
-
-  std::uint32_t prev_ts_sec = 0;
-  std::size_t off = kGlobalHeaderSize;
-  while (off + kRecordHeaderSize <= bytes.size()) {
-    const std::uint32_t ts_sec = read_u32(bytes.data() + off, swapped);
-    const std::uint32_t ts_usec = read_u32(bytes.data() + off + 4, swapped);
-    const std::uint32_t incl_len = read_u32(bytes.data() + off + 8, swapped);
-    const std::uint32_t orig_len = read_u32(bytes.data() + off + 12, swapped);
-    if (incl_len > file.snaplen + kInclLenSlack) {
-      // Framing garbage: a record header no writer would produce.
-      ++local.corrupt_records;
-      if (options.on_corrupt == OnCorrupt::kFail) {
-        if (stats != nullptr) *stats = local;
-        return Status(StatusCode::kDataLoss,
-                      "pcap: corrupt record header at byte " +
-                          std::to_string(off) + " (incl_len " +
-                          std::to_string(incl_len) + " > snaplen " +
-                          std::to_string(file.snaplen) + ")");
-      }
-      if (options.on_corrupt == OnCorrupt::kTruncate) break;
-      // Salvage: slide forward one byte at a time until the stream looks
-      // like a record header again, then resume normal framing there.
-      std::size_t next = off + 1;
-      while (next + kRecordHeaderSize <= bytes.size() &&
-             !plausible_record_at(bytes, next, swapped, file.snaplen,
-                                  prev_ts_sec)) {
-        ++next;
-      }
-      local.skipped_bytes += next - off;
-      off = next;
-      if (off + kRecordHeaderSize > bytes.size()) break;
-      continue;
-    }
-    if (off + kRecordHeaderSize + incl_len > bytes.size()) {
-      // Torn trailing record: keep the complete prefix.
-      local.torn_tail_bytes = bytes.size() - off;
-      break;
-    }
-    off += kRecordHeaderSize;
-    RawPacket rec;
-    rec.timestamp = MicroTime::from_sec_usec(ts_sec, ts_usec);
-    rec.orig_len = orig_len;
-    rec.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(off + incl_len));
-    file.records.push_back(std::move(rec));
-    ++local.records;
-    prev_ts_sec = ts_sec;
-    off += incl_len;
-  }
-  if (stats != nullptr) *stats = local;
-  return file;
+RecordCursor::Step RecordCursor::finish(Status status) {
+  state_ = State::kDone;
+  status_ = std::move(status);
+  return Step::kEnd;
 }
 
-StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes) {
-  return parse(bytes, ParseOptions{}, nullptr);
+RecordCursor::Step RecordCursor::next(std::span<const std::uint8_t> in,
+                                      bool at_end) {
+  offset_ += consumed_;
+  consumed_ = 0;
+  if (state_ == State::kGlobalHeader) {
+    if (in.size() < kGlobalHeaderSize) {
+      if (!at_end) return Step::kNeedMore;
+      return finish(Status(StatusCode::kDataLoss,
+                           "pcap: file shorter than global header (" +
+                               std::to_string(in.size()) + " bytes)"));
+    }
+    // The magic is stored in the writer's host order; reading it
+    // little-endian and seeing the swapped constant means the writer was
+    // big-endian.
+    const std::uint32_t magic_le = load_le32(in.data());
+    if (magic_le != kMagicNative && magic_le != kMagicSwapped) {
+      return finish(Status(StatusCode::kInvalidArgument,
+                           "pcap: bad magic (not a classic pcap file)"));
+    }
+    swapped_ = magic_le == kMagicSwapped;
+    const std::uint16_t major = read_u16(in.data() + 4, swapped_);
+    if (major != kVersionMajor) {
+      return finish(
+          Status(StatusCode::kUnimplemented,
+                 "pcap: unsupported version " + std::to_string(major)));
+    }
+    snaplen_ = read_u32(in.data() + 16, swapped_);
+    link_type_ = read_u32(in.data() + 20, swapped_);
+    consumed_ = kGlobalHeaderSize;
+    state_ = State::kRecords;
+    return Step::kHeader;
+  }
+
+  std::size_t pos = 0;
+  while (state_ != State::kDone) {
+    if (pos + kRecordHeaderSize > in.size()) {
+      if (!at_end) break;
+      // The end: bytes short of a header are a torn tail, or more garbage
+      // when no resync point was found.
+      (state_ == State::kResync ? stats_.skipped_bytes
+                                : stats_.torn_tail_bytes) += in.size() - pos;
+      consumed_ = in.size();
+      return finish(Status::ok());
+    }
+    const auto field = [&](std::size_t at) {
+      return read_u32(in.data() + pos + at, swapped_);
+    };
+    const std::uint32_t ts_sec = field(0);
+    const std::uint32_t incl_len = field(8);
+    const bool fits = pos + kRecordHeaderSize + incl_len <= in.size();
+    // In 64 bits, so a snaplen near 2^32 cannot wrap the bound.
+    const bool garbage = incl_len > snaplen_ + kInclLenSlack;
+    if (state_ == State::kResync) {
+      // Salvage: slide forward one byte at a time until the stream looks
+      // like an intact record header again, then resume framing there. A
+      // false positive costs one garbage record, a false negative a little
+      // more skipped data.
+      const bool plausible = !garbage && field(4) < 1000000 &&
+                             ts_sec >= prev_ts_sec_ &&
+                             ts_sec - prev_ts_sec_ <= kMaxResyncClockJumpSec;
+      if (plausible && !fits && !at_end) break;
+      if (!plausible || !fits) {
+        ++stats_.skipped_bytes;
+        ++pos;
+        continue;
+      }
+      state_ = State::kRecords;
+    }
+    if (garbage) {
+      // A record header no writer would produce: bit flip or desync.
+      ++stats_.corrupt_records;
+      if (options_.on_corrupt == OnCorrupt::kFail) {
+        return finish(Status(StatusCode::kDataLoss,
+                             "pcap: corrupt record header at byte " +
+                                 std::to_string(offset_ + pos) +
+                                 " (incl_len " + std::to_string(incl_len) +
+                                 " > snaplen " + std::to_string(snaplen_) +
+                                 ")"));
+      }
+      if (options_.on_corrupt == OnCorrupt::kTruncate) {
+        return finish(Status::ok());
+      }
+      state_ = State::kResync;
+      ++stats_.skipped_bytes;
+      ++pos;
+      continue;
+    }
+    if (!fits) {
+      if (!at_end) break;
+      // Torn trailing record: keep the complete prefix.
+      stats_.torn_tail_bytes = in.size() - pos;
+      consumed_ = in.size();
+      return finish(Status::ok());
+    }
+    record_.timestamp = MicroTime::from_sec_usec(ts_sec, field(4));
+    record_.orig_len = field(12);
+    record_.data = in.subspan(pos + kRecordHeaderSize, incl_len);
+    consumed_ = pos + kRecordHeaderSize + incl_len;
+    ++stats_.records;
+    prev_ts_sec_ = ts_sec;
+    return Step::kRecord;
+  }
+  if (state_ == State::kDone) return Step::kEnd;
+  consumed_ = pos;  // the frame at `pos` runs past the input
+  return Step::kNeedMore;
+}
+
+StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes,
+                            const ParseOptions& options, ParseStats* stats) {
+  RecordCursor cursor(options);
+  CaptureFile file;
+  std::size_t off = 0;
+  for (;;) {
+    const RecordCursor::Step step = cursor.next(bytes.subspan(off), true);
+    off += cursor.consumed();
+    if (step == RecordCursor::Step::kEnd) break;
+    if (step == RecordCursor::Step::kRecord) {
+      file.records.push_back(cursor.record().copy());
+    }
+  }
+  const ParseStats& ps = cursor.stats();
+  publish({{"netsample_pcap_records_total", ps.records},
+           {"netsample_pcap_corrupt_records_total", ps.corrupt_records},
+           {"netsample_pcap_skipped_bytes_total", ps.skipped_bytes},
+           {"netsample_pcap_torn_tail_bytes_total", ps.torn_tail_bytes}});
+  if (stats != nullptr) *stats = ps;
+  if (!cursor.status().is_ok()) return cursor.status();
+  file.link_type = cursor.link_type();
+  file.snaplen = cursor.snaplen();
+  file.byte_swapped = cursor.byte_swapped();
+  return file;
 }
 
 StatusOr<CaptureFile> read_file(const std::string& path,
@@ -201,45 +195,52 @@ StatusOr<CaptureFile> read_file(const std::string& path,
   if (!in) {
     return Status(StatusCode::kNotFound, "pcap: cannot open '" + path + "'");
   }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  // Bulk reads, sized by the file when it has a size (one allocation, no
+  // growth copies), else 1 MiB at a time (pipes). A byte-at-a-time
+  // istreambuf_iterator copy cost most of a whole-file load.
+  std::vector<std::uint8_t> bytes;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::size_t chunk = std::max<std::size_t>(ec ? 0 : size, 1 << 20);
+  while (in && in.peek() != std::ifstream::traits_type::eof()) {
+    const std::size_t have = bytes.size();
+    bytes.resize(have + chunk);
+    in.read(reinterpret_cast<char*>(bytes.data() + have),
+            static_cast<std::streamsize>(chunk));
+    bytes.resize(have + static_cast<std::size_t>(in.gcount()));
+    chunk = 1 << 20;
+  }
   return parse(bytes, options, stats);
 }
 
-StatusOr<CaptureFile> read_file(const std::string& path) {
-  return read_file(path, ParseOptions{}, nullptr);
+std::array<std::uint8_t, kRecordHeaderSize> encode_record_header(
+    const RawPacket& record, std::uint32_t incl_len) {
+  std::array<std::uint8_t, kRecordHeaderSize> h{};
+  store_le32(h.data(), static_cast<std::uint32_t>(record.timestamp.seconds()));
+  store_le32(h.data() + 4,
+             static_cast<std::uint32_t>(record.timestamp.subsec_usec()));
+  store_le32(h.data() + 8, incl_len);
+  store_le32(h.data() + 12, record.orig_len);
+  return h;
 }
 
 std::vector<std::uint8_t> serialize(const CaptureFile& file) {
-  std::vector<std::uint8_t> out;
   std::size_t total = kGlobalHeaderSize;
   for (const auto& r : file.records) total += kRecordHeaderSize + r.data.size();
+  std::vector<std::uint8_t> out(kGlobalHeaderSize);
   out.reserve(total);
 
-  auto push_u16 = [&](std::uint16_t v) {
-    std::uint8_t buf[2];
-    store_le16(buf, v);
-    out.insert(out.end(), buf, buf + 2);
-  };
-  auto push_u32 = [&](std::uint32_t v) {
-    std::uint8_t buf[4];
-    store_le32(buf, v);
-    out.insert(out.end(), buf, buf + 4);
-  };
-
-  push_u32(kMagicNative);
-  push_u16(kVersionMajor);
-  push_u16(kVersionMinor);
-  push_u32(0);  // thiszone
-  push_u32(0);  // sigfigs
-  push_u32(file.snaplen);
-  push_u32(file.link_type);
+  store_le32(out.data(), kMagicNative);
+  store_le16(out.data() + 4, kVersionMajor);
+  store_le16(out.data() + 6, kVersionMinor);
+  // Bytes 8..15 (thiszone, sigfigs) stay zero.
+  store_le32(out.data() + 16, file.snaplen);
+  store_le32(out.data() + 20, file.link_type);
 
   for (const auto& r : file.records) {
-    push_u32(static_cast<std::uint32_t>(r.timestamp.seconds()));
-    push_u32(static_cast<std::uint32_t>(r.timestamp.subsec_usec()));
-    push_u32(static_cast<std::uint32_t>(r.data.size()));
-    push_u32(r.orig_len);
+    const auto h = encode_record_header(
+        r, static_cast<std::uint32_t>(r.data.size()));
+    out.insert(out.end(), h.begin(), h.end());
     out.insert(out.end(), r.data.begin(), r.data.end());
   }
   return out;
@@ -319,7 +320,6 @@ std::optional<trace::PacketRecord> decode_record(const RawPacket& raw,
 
 trace::Trace decode(const CaptureFile& file, DecodeStats* stats) {
   DecodeStats local;
-  DecodeStatsPublisher publisher{local};
   std::vector<trace::PacketRecord> records;
   records.reserve(file.records.size());
 
@@ -339,6 +339,10 @@ trace::Trace decode(const CaptureFile& file, DecodeStats* stats) {
                      });
     ++local.out_of_order;
   }
+  publish({{"netsample_pcap_packets_decoded_total", local.decoded},
+           {"netsample_pcap_non_ipv4_total", local.non_ipv4},
+           {"netsample_pcap_malformed_total", local.malformed},
+           {"netsample_pcap_out_of_order_total", local.out_of_order}});
   if (stats != nullptr) *stats = local;
   return trace::Trace(std::move(records));
 }
@@ -391,9 +395,7 @@ CaptureFile encode(const trace::Trace& t, std::uint32_t snaplen) {
 }
 
 StatusOr<trace::Trace> read_trace(const std::string& path, DecodeStats* stats) {
-  auto file = read_file(path);
-  if (!file) return file.status();
-  return decode(*file, stats);
+  return read_trace(path, ParseOptions{}, nullptr, stats);
 }
 
 StatusOr<trace::Trace> read_trace(const std::string& path,

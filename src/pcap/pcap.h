@@ -12,8 +12,10 @@
 // and skipped rather than failing the whole file.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,8 +64,8 @@ struct ParseOptions {
 
 /// Counters from one parse. `corrupt_records` > 0 means the capture was
 /// impaired; in salvage mode `skipped_bytes` says how much of it was
-/// discarded while resyncing. A torn trailing record (clean header, data
-/// running past EOF) is counted separately — that is a short capture, not a
+/// discarded while resyncing. A torn trailing record (a header or its data
+/// cut short by EOF) is counted separately — that is a short capture, not a
 /// corrupt one.
 struct ParseStats {
   std::size_t records{0};
@@ -75,18 +77,81 @@ struct ParseStats {
   }
 };
 
+/// One framed record: a view into the cursor's input, valid until the
+/// caller drops the bytes it covers.
+struct RecordView {
+  MicroTime timestamp;
+  std::uint32_t orig_len{0};
+  std::span<const std::uint8_t> data;
+
+  /// The owned record parse() and StreamReader hand out.
+  [[nodiscard]] RawPacket copy() const {
+    return {timestamp, orig_len, {data.begin(), data.end()}};
+  }
+};
+
+/// The one pcap framer. It validates the global header, then frames records
+/// under the ParseOptions corrupt-record policy and counts ParseStats.
+/// parse() runs it over a whole capture; StreamReader runs it over a buffer
+/// refilled from disk. Each call takes the bytes not yet consumed; the
+/// caller then drops consumed() bytes from their front. `at_end` says no
+/// bytes follow `input`: only then is a short frame a torn tail (or a
+/// failed resync) instead of a request for more bytes.
+class RecordCursor {
+ public:
+  enum class Step {
+    kHeader,    // the global header is valid (always the first step)
+    kRecord,    // record() holds the next record
+    kNeedMore,  // `input` ends mid-frame; call again with more bytes
+    kEnd,       // the capture is over; status() says if it was refused
+  };
+
+  explicit RecordCursor(const ParseOptions& options = {}) : options_(options) {}
+
+  [[nodiscard]] Step next(std::span<const std::uint8_t> input, bool at_end);
+
+  [[nodiscard]] std::size_t consumed() const { return consumed_; }
+  [[nodiscard]] const RecordView& record() const { return record_; }
+  [[nodiscard]] const Status& status() const { return status_; }
+  [[nodiscard]] const ParseStats& stats() const { return stats_; }
+  [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
+  [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
+  [[nodiscard]] bool byte_swapped() const { return swapped_; }
+
+ private:
+  enum class State { kGlobalHeader, kRecords, kResync, kDone };
+  Step finish(Status status);
+
+  ParseOptions options_;
+  State state_{State::kGlobalHeader};
+  Status status_;
+  ParseStats stats_;
+  RecordView record_;
+  std::size_t consumed_{0};
+  std::uint64_t offset_{0};  // capture offset of the current input's front
+  std::uint32_t link_type_{kLinkTypeRaw};
+  std::uint32_t snaplen_{65535};
+  bool swapped_{false};
+  std::uint32_t prev_ts_sec_{0};
+};
+
+inline constexpr std::size_t kRecordHeaderSize = 16;
+
+/// A record header as serialize() and StreamWriter write it (host order),
+/// for `incl_len` captured bytes of `record`.
+[[nodiscard]] std::array<std::uint8_t, kRecordHeaderSize> encode_record_header(
+    const RawPacket& record, std::uint32_t incl_len);
+
 /// Read a capture file from disk. Truncated trailing records are dropped
 /// with a DataLoss status only if *no* records could be read; otherwise the
 /// complete prefix is returned (tools must survive torn captures).
-[[nodiscard]] StatusOr<CaptureFile> read_file(const std::string& path);
 [[nodiscard]] StatusOr<CaptureFile> read_file(const std::string& path,
-                                              const ParseOptions& options,
+                                              const ParseOptions& options = {},
                                               ParseStats* stats = nullptr);
 
 /// Parse a capture file from an in-memory buffer (same semantics).
-[[nodiscard]] StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes);
 [[nodiscard]] StatusOr<CaptureFile> parse(std::span<const std::uint8_t> bytes,
-                                          const ParseOptions& options,
+                                          const ParseOptions& options = {},
                                           ParseStats* stats = nullptr);
 
 /// Serialize a capture to bytes / write it to disk (host byte order).

@@ -1,76 +1,45 @@
 #include "pcap/stream.h"
 
 #include <algorithm>
-#include <array>
-
-#include "net/headers.h"
-#include "util/byteorder.h"
 
 namespace netsample::pcap {
 
-namespace {
+// Refill granularity. Sized by a constant, never by a header field: a
+// hostile incl_len can make the reader ask for more bytes, but the buffer
+// only grows with bytes the file actually holds.
+constexpr std::size_t kReadChunk = 64 * 1024;
 
-std::uint32_t read_u32(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be32(p) : load_le32(p);
-}
-std::uint16_t read_u16(const std::uint8_t* p, bool swapped) {
-  return swapped ? load_be16(p) : load_le16(p);
-}
-
-}  // namespace
-
-StreamReader::StreamReader(const std::string& path)
-    : in_(path, std::ios::binary) {
+StreamReader::StreamReader(const std::string& path, const ParseOptions& options)
+    : in_(path, std::ios::binary), cursor_(options) {
   if (!in_) {
     status_ = Status(StatusCode::kNotFound, "pcap: cannot open '" + path + "'");
     return;
   }
-  std::array<std::uint8_t, 24> header{};
-  if (!in_.read(reinterpret_cast<char*>(header.data()), header.size())) {
-    status_ = Status(StatusCode::kDataLoss, "pcap: short global header");
-    return;
+  (void)step();  // the global header
+}
+
+RecordCursor::Step StreamReader::step() {
+  for (;;) {
+    // A short read leaves the stream failed: that is the end of the file.
+    const auto s = cursor_.next(std::span(buf_).subspan(begin_), !in_);
+    begin_ += cursor_.consumed();
+    if (s != RecordCursor::Step::kNeedMore) {
+      if (s == RecordCursor::Step::kEnd) status_ = cursor_.status();
+      return s;
+    }
+    buf_.erase(buf_.begin(),
+               buf_.begin() + static_cast<std::ptrdiff_t>(begin_));
+    begin_ = 0;
+    const std::size_t have = buf_.size();
+    buf_.resize(have + kReadChunk);
+    in_.read(reinterpret_cast<char*>(buf_.data() + have), kReadChunk);
+    buf_.resize(have + static_cast<std::size_t>(in_.gcount()));
   }
-  const std::uint32_t magic_le = load_le32(header.data());
-  if (magic_le == kMagicNative) {
-    swapped_ = false;
-  } else if (magic_le == kMagicSwapped) {
-    swapped_ = true;
-  } else {
-    status_ = Status(StatusCode::kInvalidArgument, "pcap: bad magic");
-    return;
-  }
-  const std::uint16_t major = read_u16(header.data() + 4, swapped_);
-  if (major != kVersionMajor) {
-    status_ = Status(StatusCode::kUnimplemented,
-                     "pcap: unsupported version " + std::to_string(major));
-    return;
-  }
-  snaplen_ = read_u32(header.data() + 16, swapped_);
-  link_type_ = read_u32(header.data() + 20, swapped_);
 }
 
 std::optional<RawPacket> StreamReader::next() {
-  if (!ok()) return std::nullopt;
-  std::array<std::uint8_t, 16> rec{};
-  if (!in_.read(reinterpret_cast<char*>(rec.data()), rec.size())) {
-    return std::nullopt;  // clean EOF or torn header: stop
-  }
-  const std::uint32_t ts_sec = read_u32(rec.data(), swapped_);
-  const std::uint32_t ts_usec = read_u32(rec.data() + 4, swapped_);
-  const std::uint32_t incl_len = read_u32(rec.data() + 8, swapped_);
-  const std::uint32_t orig_len = read_u32(rec.data() + 12, swapped_);
-  if (incl_len > snaplen_ + 4096) {
-    return std::nullopt;  // implausible length: treat as torn
-  }
-  RawPacket out;
-  out.timestamp = MicroTime::from_sec_usec(ts_sec, ts_usec);
-  out.orig_len = orig_len;
-  out.data.resize(incl_len);
-  if (!in_.read(reinterpret_cast<char*>(out.data.data()), incl_len)) {
-    return std::nullopt;  // torn body
-  }
-  ++records_read_;
-  return out;
+  if (!ok() || step() != RecordCursor::Step::kRecord) return std::nullopt;
+  return cursor_.record().copy();
 }
 
 StreamWriter::StreamWriter(const std::string& path, std::uint32_t link_type,
@@ -93,15 +62,10 @@ StreamWriter::StreamWriter(const std::string& path, std::uint32_t link_type,
 
 bool StreamWriter::write(const RawPacket& record) {
   if (!ok()) return false;
-  std::array<std::uint8_t, 16> hdr{};
-  store_le32(hdr.data(), static_cast<std::uint32_t>(record.timestamp.seconds()));
-  store_le32(hdr.data() + 4,
-             static_cast<std::uint32_t>(record.timestamp.subsec_usec()));
   const std::uint32_t incl =
       std::min<std::uint32_t>(static_cast<std::uint32_t>(record.data.size()),
                               snaplen_);
-  store_le32(hdr.data() + 8, incl);
-  store_le32(hdr.data() + 12, record.orig_len);
+  const auto hdr = encode_record_header(record, incl);
   out_.write(reinterpret_cast<const char*>(hdr.data()), hdr.size());
   out_.write(reinterpret_cast<const char*>(record.data.data()), incl);
   if (!out_) {

@@ -2,15 +2,16 @@
 //
 // The in-memory API (pcap.h) is convenient for experiments; operational
 // tools cannot always afford to hold a multi-gigabyte capture. StreamReader
-// yields one RawPacket at a time from disk with O(record) memory, and
+// yields one RawPacket at a time from disk, framed by the same RecordCursor
+// as parse() over a buffer that only ever holds bytes actually read; and
 // StreamWriter appends records as they are produced (e.g. by a sampler in
-// a filtering pipeline). Both share the format logic via pcap.h semantics
-// and are covered by equivalence tests against the in-memory path.
+// a filtering pipeline) with serialize()'s record-header encoder.
 #pragma once
 
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "pcap/pcap.h"
 
@@ -18,30 +19,41 @@ namespace netsample::pcap {
 
 class StreamReader {
  public:
-  /// Opens and validates the global header; check ok() before reading.
-  explicit StreamReader(const std::string& path);
+  /// Opens the capture and validates its global header; check ok() before
+  /// reading. `options` is the same corrupt-record policy parse() takes.
+  explicit StreamReader(const std::string& path,
+                        const ParseOptions& options = {});
 
+  /// OK, or why the capture was refused: a bad global header, or kDataLoss
+  /// for a corrupt record under OnCorrupt::kFail.
   [[nodiscard]] const Status& status() const { return status_; }
   [[nodiscard]] bool ok() const { return status_.is_ok(); }
 
-  [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
-  [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
-  [[nodiscard]] bool byte_swapped() const { return swapped_; }
+  [[nodiscard]] std::uint32_t link_type() const { return cursor_.link_type(); }
+  [[nodiscard]] std::uint32_t snaplen() const { return cursor_.snaplen(); }
+  [[nodiscard]] bool byte_swapped() const { return cursor_.byte_swapped(); }
 
-  /// Next record, or nullopt at end of file / on a torn trailing record
-  /// (mirroring parse()'s prefix semantics). Never throws.
+  /// Next record, or nullopt at the end of the capture — the same records,
+  /// in the same order, that parse() returns for the file. Never throws.
   [[nodiscard]] std::optional<RawPacket> next();
 
   /// Records returned so far.
-  [[nodiscard]] std::uint64_t records_read() const { return records_read_; }
+  [[nodiscard]] std::uint64_t records_read() const {
+    return cursor_.stats().records;
+  }
+  /// The same counters parse() reports for the file (final at the end).
+  [[nodiscard]] const ParseStats& parse_stats() const {
+    return cursor_.stats();
+  }
 
  private:
+  RecordCursor::Step step();
+
   std::ifstream in_;
   Status status_;
-  std::uint32_t link_type_{kLinkTypeRaw};
-  std::uint32_t snaplen_{65535};
-  bool swapped_{false};
-  std::uint64_t records_read_{0};
+  RecordCursor cursor_;
+  std::vector<std::uint8_t> buf_;  // bytes read and not yet consumed, from
+  std::size_t begin_{0};           // buf_[begin_] on
 };
 
 class StreamWriter {

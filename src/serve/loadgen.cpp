@@ -144,7 +144,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options,
   shared.sessions.resize(options.sessions);
   for (std::size_t i = 0; i < options.sessions; ++i) {
     SessionState& s = shared.sessions[i];
-    s.id = "s" + std::to_string(i);
+    s.id = std::string("s").append(std::to_string(i));
     s.group = i % seed_groups;
     s.connection = i % connections;
   }

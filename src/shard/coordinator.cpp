@@ -1,6 +1,7 @@
 #include "shard/coordinator.h"
 
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -76,6 +77,8 @@ enum class Departure { kUnexpected, kClean };
 struct Slot {
   pid_t pid{-1};
   bool proc_alive{false};  // we spawned it and have not reaped it
+  int pidfd{-1};           // readable once the process exits (-1: none)
+  int wait_status{0};      // waitpid status, once reaped
   bool external{false};    // connected on its own; not our child
   bool dead{false};
   std::unique_ptr<Transport> chan;
@@ -114,9 +117,7 @@ class Coordinator {
     for (auto& s : slots_) {
       if (s.proc_alive) {
         ::kill(s.pid, SIGKILL);
-        int st = 0;
-        ::waitpid(s.pid, &st, 0);
-        s.proc_alive = false;
+        reap(s, true);
       }
     }
   }
@@ -128,6 +129,39 @@ class Coordinator {
 
   static bool connected(const Slot& s) {
     return s.chan != nullptr && !s.chan->is_closed();
+  }
+
+  /// Reap a spawned worker (blocking, or only if it has exited); true once
+  /// it is gone.
+  static bool reap(Slot& s, bool block) {
+    int st = 0;
+    const pid_t r = ::waitpid(s.pid, &st, block ? 0 : WNOHANG);
+    // ECHILD: already reaped elsewhere; its pidfd would stay readable.
+    if (!block && r != s.pid && !(r < 0 && errno == ECHILD)) return false;
+    s.proc_alive = false;
+    s.wait_status = st;
+    if (s.pidfd >= 0) ::close(s.pidfd);
+    s.pidfd = -1;
+    return true;
+  }
+
+  /// Poll entries that wake the loop when a spawned worker exits, so a
+  /// death or a clean exit is reaped at once instead of on a timer. False
+  /// when some live worker has no pidfd (kernels before pidfd_open).
+  bool add_exit_fds(std::vector<pollfd>& fds, std::vector<int>& kinds,
+                    std::vector<std::size_t>& refs) const {
+    bool all = true;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].proc_alive) continue;
+      if (slots_[i].pidfd < 0) {
+        all = false;
+        continue;
+      }
+      fds.push_back(pollfd{slots_[i].pidfd, POLLIN, 0});
+      kinds.push_back(3);
+      refs.push_back(i);
+    }
+    return all;
   }
 
   std::size_t capacity() const {
@@ -179,6 +213,7 @@ class Coordinator {
       if (listener_.fd() >= 0) parent_fds.push_back(listener_.fd());
       for (const auto& other : slots_) {
         if (other.chan) other.chan->append_fds(&parent_fds);
+        if (other.pidfd >= 0) parent_fds.push_back(other.pidfd);
       }
       for (const auto& pc : pending_conns_) {
         pc.chan->append_fds(&parent_fds);
@@ -252,8 +287,19 @@ class Coordinator {
     // Parent.
     s.pid = pid;
     s.proc_alive = true;
+#ifdef SYS_pidfd_open
+    s.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#endif
     ++report_.workers_spawned;
     first_spawn_done_ = true;
+    // A drilled worker fires on the LEASE that follows its Nth cell, so it
+    // is reserved N + 1 cells now: that LEASE exists however fast the other
+    // workers drain the queue, and the fault always strands it.
+    const int drill = give_die      ? opts_.first_worker_die_after
+                      : give_depart ? opts_.first_worker_depart_after
+                                    : -1;
+    for (int k = 0; k <= drill && lease_next(s); ++k) {
+    }
     if (socket_mode_) {
       s.awaiting = true;
       s.awaiting_deadline = Clock::now() + window_dur();
@@ -283,28 +329,42 @@ class Coordinator {
     if (s.ever_connected) ++report_.reconnects;
     s.ever_connected = true;
     if (!s.chan->write_line(spec_line_)) return;  // EOF will surface it
+    // Cells reserved before the first connect (a drilled worker's).
+    for (const std::uint64_t idx : s.outstanding) {
+      if (!send_lease(s, idx)) return;
+    }
     grant(s);
+  }
+
+  bool send_lease(Slot& s, std::uint64_t idx) {
+    s.lease_sent[idx] = Clock::now();
+    Message lease;
+    lease.type = MessageType::kLease;
+    lease.index = idx;
+    return s.chan->write_line(format_message(lease));
+  }
+
+  /// Lease the next pending cell to `s`, sending it at once if the wire is
+  /// up (attach sends it otherwise). False when nothing is pending or the
+  /// write failed.
+  bool lease_next(Slot& s) {
+    // Skip queue entries a late duplicate already completed.
+    while (!pending_.empty() && state_[pending_.front()] != kPending) {
+      pending_.pop_front();
+    }
+    if (pending_.empty()) return false;
+    const std::uint64_t idx = pending_.front();
+    pending_.pop_front();
+    state_[idx] = kLeased;
+    s.outstanding.push_back(idx);
+    ++report_.leases_granted;
+    return !connected(s) || send_lease(s, idx);
   }
 
   /// Top a worker up to kLeaseDepth outstanding leases.
   void grant(Slot& s) {
     while (connected(s) && !s.suspended &&
-           s.outstanding.size() < kLeaseDepth) {
-      // Skip queue entries a late duplicate already completed.
-      while (!pending_.empty() && state_[pending_.front()] != kPending) {
-        pending_.pop_front();
-      }
-      if (pending_.empty()) break;
-      const std::uint64_t idx = pending_.front();
-      pending_.pop_front();
-      state_[idx] = kLeased;
-      s.outstanding.push_back(idx);
-      s.lease_sent[idx] = Clock::now();
-      ++report_.leases_granted;
-      Message lease;
-      lease.type = MessageType::kLease;
-      lease.index = idx;
-      if (!s.chan->write_line(format_message(lease))) break;
+           s.outstanding.size() < kLeaseDepth && lease_next(s)) {
     }
   }
 
@@ -324,6 +384,7 @@ class Coordinator {
         state_[*it] = kPending;
         pending_.push_front(*it);
         ++report_.reassignments;
+        stranded_ = true;
       }
     }
     s.outstanding.clear();
@@ -358,9 +419,7 @@ class Coordinator {
     reclaim_leases(s);
     if (s.proc_alive) {
       if (kind == Departure::kUnexpected) ::kill(s.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(s.pid, &st, 0);
-      s.proc_alive = false;
+      reap(s, true);
     }
     s.awaiting = false;
     s.suspended = false;
@@ -377,10 +436,7 @@ class Coordinator {
   /// bytes may still sit in the socket).
   void reap_children() {
     for (auto& s : slots_) {
-      if (!s.proc_alive) continue;
-      int st = 0;
-      if (::waitpid(s.pid, &st, WNOHANG) != s.pid) continue;
-      s.proc_alive = false;
+      if (!s.proc_alive || !reap(s, false)) continue;
       if (!connected(s) && !s.dead) finalize_death(s, Departure::kUnexpected);
     }
   }
@@ -683,7 +739,13 @@ class Coordinator {
     stop.type = MessageType::kStop;
     const std::string stop_line = format_message(stop);
 
-    for (auto& s : slots_) {
+    // A worker still inside its reconnect window lost its wire mid-grid.
+    // Whether that was a death is settled by how it exits, however fast the
+    // survivors finished the grid meanwhile.
+    std::vector<bool> lost(slots_.size());
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      Slot& s = slots_[i];
+      lost[i] = s.awaiting && !s.dead && s.proc_alive;
       s.awaiting = false;
       if (connected(s)) {
         (void)s.chan->write_line(stop_line);
@@ -698,16 +760,14 @@ class Coordinator {
     const auto deadline = Clock::now() + std::chrono::seconds(10);
     while (Clock::now() < deadline) {
       for (auto& s : slots_) {
-        if (!s.proc_alive) continue;
-        int st = 0;
-        if (::waitpid(s.pid, &st, WNOHANG) == s.pid) s.proc_alive = false;
+        if (s.proc_alive) reap(s, false);
       }
       bool any_proc = false;
       for (const auto& s : slots_) any_proc = any_proc || s.proc_alive;
       if (!any_proc) break;
 
       std::vector<pollfd> fds;
-      std::vector<int> kinds;  // 0 = listener, 1 = pending, 2 = slot
+      std::vector<int> kinds;  // 0 listener, 1 pending, 2 slot, 3 exit
       std::vector<std::size_t> refs;
       if (socket_mode_ && listener_.fd() >= 0) {
         fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
@@ -726,7 +786,17 @@ class Coordinator {
           refs.push_back(i);
         }
       }
-      const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+      // Sleep until a wire speaks, a worker exits or the deadline passes;
+      // without pidfds, exits are only noticed on a short tick.
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - Clock::now())
+                            .count();
+      int timeout_ms = left > 0 ? static_cast<int>(left) + 1 : 0;
+      if (!add_exit_fds(fds, kinds, refs)) {
+        timeout_ms = std::min(timeout_ms, 50);
+      }
+      const int rc =
+          ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
       if (rc < 0 && errno != EINTR) break;
 
       std::vector<std::size_t> dead_pending;
@@ -746,7 +816,7 @@ class Coordinator {
               ReadResult::kClosed) {
             dead_pending.push_back(refs[f]);
           }
-        } else {
+        } else if (kinds[f] == 2) {
           Slot& s = slots_[refs[f]];
           std::vector<std::string> lines;
           if (s.chan->drain(&lines) == ReadResult::kClosed) {
@@ -765,9 +835,7 @@ class Coordinator {
     for (auto& s : slots_) {
       if (s.proc_alive) {
         ::kill(s.pid, SIGKILL);
-        int st = 0;
-        ::waitpid(s.pid, &st, 0);
-        s.proc_alive = false;
+        reap(s, true);
       }
       if (s.chan) {
         s.chan->close();
@@ -777,6 +845,12 @@ class Coordinator {
     for (auto& pc : pending_conns_) pc.chan->close();
     pending_conns_.clear();
     listener_.close();
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+      const int st = slots_[i].wait_status;
+      if (lost[i] && !(WIFEXITED(st) && WEXITSTATUS(st) == 0)) {
+        ++report_.workers_died;
+      }
+    }
   }
 
   // ---- members ---------------------------------------------------------
@@ -802,6 +876,7 @@ class Coordinator {
   std::vector<PendingConn> pending_conns_;
   int respawns_left_{0};
   bool first_spawn_done_{false};
+  bool stranded_{false};  // a death or departure left leases to recompute
   std::uint64_t results_received_{0};
   std::uint64_t ping_seq_{0};
 };
@@ -890,8 +965,10 @@ StatusOr<ShardReport> Coordinator::run() {
     reap_children();
     const int timeout_ms = fire_timers();
 
-    // If pending work has nowhere to run, respawn or give up.
-    while (!pending_.empty() &&
+    // If pending work has nowhere to run, respawn or give up. Work a death
+    // stranded counts even if a survivor already took it, so whether a
+    // lost worker is replaced does not depend on which wire was read first.
+    while ((!pending_.empty() || stranded_) &&
            capacity() < static_cast<std::size_t>(opts_.workers) &&
            respawns_left_ > 0) {
       --respawns_left_;
@@ -908,6 +985,7 @@ StatusOr<ShardReport> Coordinator::run() {
       if (!spawned) break;
       refill_all();
     }
+    stranded_ = false;
     if (capacity() == 0 && pending_conns_.empty() && done_count_ < n_) {
       // No workers and no way to make more: quarantine what's left.
       for (std::size_t i = 0; i < n_; ++i) {
@@ -924,7 +1002,7 @@ StatusOr<ShardReport> Coordinator::run() {
     if (done_count_ == n_) break;
 
     std::vector<pollfd> fds;
-    std::vector<int> kinds;  // 0 = listener, 1 = pending conn, 2 = slot
+    std::vector<int> kinds;  // 0 listener, 1 pending conn, 2 slot, 3 exit
     std::vector<std::size_t> refs;
     if (socket_mode_ && listener_.fd() >= 0) {
       fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
@@ -943,6 +1021,7 @@ StatusOr<ShardReport> Coordinator::run() {
         refs.push_back(i);
       }
     }
+    (void)add_exit_fds(fds, kinds, refs);  // reaped at the top of the loop
     if (fds.empty() && timeout_ms < 0) continue;  // state changed above
 
     const int rc =
@@ -963,6 +1042,7 @@ StatusOr<ShardReport> Coordinator::run() {
         }
         continue;
       }
+      if (kinds[f] == 3) continue;  // a worker exited: reaped next turn
       if (kinds[f] == 1) {
         PendingConn& pc = pending_conns_[refs[f]];
         std::vector<std::string> lines;

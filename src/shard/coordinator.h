@@ -77,10 +77,12 @@ struct CoordinatorOptions {
   /// Per-worker die-after-N-cells chaos (WorkerOptions::die_after_cells,
   /// or "--die-after" appended in exec mode) — applied to the FIRST spawned
   /// worker only, initial spawn only, so tests can script exactly one
-  /// mid-sweep death without signals. < 0 disables.
+  /// mid-sweep death without signals. That worker is reserved N + 1 cells
+  /// at spawn, so it always receives the LEASE it dies on. < 0 disables.
   int first_worker_die_after{-1};
   /// Like first_worker_die_after but a clean departure: the worker sends
-  /// BYE and exits 0 after N cells (WorkerOptions::depart_after_cells).
+  /// BYE and exits 0 on the LEASE after N cells
+  /// (WorkerOptions::depart_after_cells).
   int first_worker_depart_after{-1};
 
   /// How lease-protocol lines travel (see TransportKind).

@@ -295,22 +295,20 @@ class WorkerSession {
           break;
         }
         case MessageType::kLease: {
+          // Scripted faults fire when a LEASE arrives after N cells, so the
+          // worker always goes down holding an unreported lease.
+          const auto after = [&](int n) {
+            return n >= 0 && cells_done_ >= static_cast<std::uint64_t>(n);
+          };
+          if (after(opts_.die_after_cells)) {
+            ::_exit(137);  // simulated SIGKILL: no flush, no unwind, no BYE
+          }
+          if (after(opts_.depart_after_cells)) {
+            return depart();  // scripted SIGTERM stand-in
+          }
           const Message reply = lease_reply(msg.index);
           deliver(reply);
-          if (reply.type == MessageType::kResult) {
-            ++cells_done_;
-            if (opts_.die_after_cells >= 0 &&
-                cells_done_ >=
-                    static_cast<std::uint64_t>(opts_.die_after_cells)) {
-              // Simulated SIGKILL: no flush, no unwind, no BYE.
-              ::_exit(137);
-            }
-            if (opts_.depart_after_cells >= 0 &&
-                cells_done_ >=
-                    static_cast<std::uint64_t>(opts_.depart_after_cells)) {
-              return depart();  // scripted SIGTERM stand-in
-            }
-          }
+          if (reply.type == MessageType::kResult) ++cells_done_;
           break;
         }
         case MessageType::kStop:

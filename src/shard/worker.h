@@ -41,13 +41,15 @@ class Transport;
 struct WorkerOptions {
   std::string store_path;
   std::string backend{"mmap"};
-  /// Deterministic chaos hook: after sending this many RESULTs, die with
-  /// _exit(137) — no flush, no unwind, indistinguishable from SIGKILL to
-  /// the coordinator. < 0 disables. Resume/reassignment tests script kills
-  /// at exact points with this.
+  /// Deterministic chaos hook: once this many RESULTs are sent, die with
+  /// _exit(137) when the next LEASE arrives — no flush, no unwind,
+  /// indistinguishable from SIGKILL to the coordinator, and always holding
+  /// an unreported lease. < 0 disables. Resume/reassignment tests script
+  /// kills at exact points with this.
   int die_after_cells{-1};
-  /// Clean-departure chaos hook: after this many RESULTs, behave exactly
-  /// like a SIGTERM — send BYE and return OK. < 0 disables.
+  /// Clean-departure chaos hook: once this many RESULTs are sent, behave
+  /// exactly like a SIGTERM when the next LEASE arrives — send BYE and
+  /// return OK. < 0 disables.
   int depart_after_cells{-1};
   /// Socket mode (run_socket_worker): coordinator address to dial.
   std::string connect;

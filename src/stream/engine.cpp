@@ -43,7 +43,7 @@ std::vector<LaneSpec> lanes_for_cell(const exper::CellConfig& config,
     lane.spec = exper::replication_spec(config, r);
     if (population_override != 0) lane.spec.population = population_override;
     lane.target = config.target;
-    lane.label = "r" + std::to_string(r);
+    lane.label = std::string("r").append(std::to_string(r));
     lanes.push_back(std::move(lane));
   }
   return lanes;

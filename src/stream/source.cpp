@@ -15,7 +15,9 @@ bool TraceSource::next_chunk(std::size_t max,
   return true;
 }
 
-PcapSource::PcapSource(const std::string& path) : reader_(path) {}
+PcapSource::PcapSource(const std::string& path,
+                       const pcap::ParseOptions& options)
+    : reader_(path, options) {}
 
 bool PcapSource::next_chunk(std::size_t max,
                             std::vector<trace::PacketRecord>& out) {

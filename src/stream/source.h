@@ -7,10 +7,10 @@
 //     and the bit-identity suite that pins streaming against the batch
 //     fast path).
 //   PcapSource  — record-at-a-time decode off pcap::StreamReader, sharing
-//     pcap::decode_record with the whole-file path. The whole-file decoder
-//     stable-sorts small capture-stack reorderings; a single pass cannot,
-//     so out-of-order timestamps are clamped to the running maximum (the
-//     same salvage rule as trace::TimePolicy::kClamp) and counted.
+//     the framer and pcap::decode_record with the whole-file path. The
+//     whole-file decoder stable-sorts small capture-stack reorderings; one
+//     pass cannot, so out-of-order timestamps are clamped to the running
+//     maximum (trace::TimePolicy::kClamp's salvage rule) and counted.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +54,11 @@ class TraceSource final : public PacketSource {
 /// Streams IPv4 records decoded from a pcap file, one record at a time.
 class PcapSource final : public PacketSource {
  public:
-  /// Opens the capture; check ok() before streaming.
-  explicit PcapSource(const std::string& path);
+  /// Opens the capture; check ok() before streaming. `options` is the
+  /// corrupt-record policy; under kFail a corrupt record ends the stream
+  /// with status() kDataLoss.
+  explicit PcapSource(const std::string& path,
+                      const pcap::ParseOptions& options = {});
 
   [[nodiscard]] bool ok() const { return reader_.ok(); }
   [[nodiscard]] Status status() const override { return reader_.status(); }
@@ -63,6 +66,9 @@ class PcapSource final : public PacketSource {
   [[nodiscard]] bool next_chunk(std::size_t max,
                                 std::vector<trace::PacketRecord>& out) override;
 
+  [[nodiscard]] const pcap::ParseStats& parse_stats() const {
+    return reader_.parse_stats();
+  }
   [[nodiscard]] const pcap::DecodeStats& decode_stats() const { return stats_; }
   /// Records whose timestamp ran backwards and were clamped forward.
   [[nodiscard]] std::uint64_t clamped() const { return clamped_; }

@@ -167,7 +167,7 @@ struct ServerHarness {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     server.adopt_client(shard::make_fd_transport(fds[0], fds[0]));
-    return TestClient{shard::make_fd_transport(fds[1], fds[1])};
+    return TestClient{shard::make_fd_transport(fds[1], fds[1]), {}};
   }
 
   void run_async() {

@@ -85,11 +85,11 @@ void add_sweep_flags(ArgParser& args) {
                 "sweep: replacement workers allowed after unexpected deaths",
                 "8");
   args.add_flag("die-after", "N",
-                "worker: _exit(137) after N completed cells (fault drill; "
-                "0 = off)", "0");
+                "worker: _exit(137) on the lease after N completed cells "
+                "(fault drill; 0 = off)", "0");
   args.add_flag("depart-after", "N",
-                "sweep: first worker sends BYE and exits cleanly after N "
-                "cells (fault drill; 0 = off)", "0");
+                "sweep: first worker sends BYE and exits cleanly on the "
+                "lease after N cells (fault drill; 0 = off)", "0");
   args.add_flag("transport", "KIND",
                 "sweep: how lease lines travel to workers: pipe or socket",
                 "pipe");

@@ -104,30 +104,82 @@ int usage() {
   return kExitUsage;
 }
 
-/// Load a capture honoring --strict / --salvage, surfacing every counter the
-/// parse and decode produced so a dirty capture is never silently "fine".
-/// `out` lets machine-readable commands (impair --csv) divert the human
-/// summary to stderr and keep stdout pure.
-StatusOr<trace::Trace> load(const std::string& path, const ArgParser& args,
-                            std::ostream& out = std::cout) {
+/// The non-empty items of a comma-separated flag value.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    if (comma > pos) items.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return items;
+}
+
+/// --resume FILE: open the checkpoint journal into `journal` and say on
+/// `out` what it already holds. nullptr without --resume.
+StatusOr<exper::CheckpointJournal*> open_resume_journal(
+    const ArgParser& args, std::ostream& out,
+    exper::CheckpointJournal& journal) {
+  if (!args.has("resume")) return nullptr;
+  auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
+  if (!opened) return opened.status();
+  journal = std::move(*opened);
+  out << "journal " << journal.path() << ": " << journal.size()
+      << " cells already complete";
+  if (journal.dropped_lines() > 0) {
+    out << " (" << journal.dropped_lines() << " torn lines dropped)";
+  }
+  out << "\n";
+  return &journal;
+}
+
+/// --strict / --salvage as the corrupt-record policy every capture reader
+/// (load(), watch, loadgen) frames with.
+pcap::ParseOptions parse_options(const ArgParser& args) {
   pcap::ParseOptions options;
   if (args.get_bool("strict")) options.on_corrupt = pcap::OnCorrupt::kFail;
   if (args.get_bool("salvage")) options.on_corrupt = pcap::OnCorrupt::kSalvage;
+  return options;
+}
+
+/// The one ingest-damage line, so a dirty capture is never silently "fine"
+/// on any input path.
+void report_data_loss(const pcap::ParseStats& s, std::ostream& out) {
+  if (s.clean()) return;
+  out << "  data loss: " << s.corrupt_records << " corrupt records, "
+      << s.skipped_bytes << " bytes skipped resyncing, " << s.torn_tail_bytes
+      << " torn tail bytes\n";
+}
+
+/// Load a capture honoring --strict / --salvage, surfacing every counter the
+/// parse and decode produced. `out` lets machine-readable commands (impair
+/// --csv) divert the human summary to stderr and keep stdout pure.
+StatusOr<trace::Trace> load(const std::string& path, const ArgParser& args,
+                            std::ostream& out = std::cout) {
   pcap::ParseStats parse_stats;
   pcap::DecodeStats stats;
-  auto t = pcap::read_trace(path, options, &parse_stats, &stats);
+  auto t = pcap::read_trace(path, parse_options(args), &parse_stats, &stats);
   if (t) {
     out << path << ": " << fmt_count(stats.decoded) << " IPv4 packets ("
         << stats.non_ipv4 << " non-IPv4, " << stats.malformed
         << " malformed skipped)\n";
-    if (!parse_stats.clean()) {
-      out << "  data loss: " << parse_stats.corrupt_records
-          << " corrupt records, " << parse_stats.skipped_bytes
-          << " bytes skipped resyncing, " << parse_stats.torn_tail_bytes
-          << " torn tail bytes\n";
-    }
+    report_data_loss(parse_stats, out);
   }
   return t;
+}
+
+/// Print a grid run's table on stdout and each quarantined cell, named by
+/// `label(i)`, on stderr; returns the command's exit code.
+template <typename Label>
+int emit_run(const Result<exper::RunReport>& result, Label label) {
+  emit(result.rows, RowFormat::kAligned, std::cout);
+  for (const std::size_t i : result->quarantined()) {
+    std::cerr << "quarantined: cell " << i << " (" << label(i) << ") after "
+              << result->cells[i].attempts << " attempt(s): "
+              << result->cells[i].status.to_string() << "\n";
+  }
+  return result.ok() ? 0 : fail(result.status);
 }
 
 /// Translate --on-error / --retries / --cell-timeout / --resume into sweep
@@ -290,34 +342,19 @@ int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
     cfg.target = target;
     tasks.push_back({cfg, 0});
   }
-  exper::CheckpointJournal journal;
   exper::RunOptions ropts = sweep_options(args, nullptr);
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    std::cout << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cout << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cout << "\n";
-    ropts.journal = &journal;
-  }
+  exper::CheckpointJournal journal;
+  auto resumed = open_resume_journal(args, std::cout, journal);
+  if (!resumed) return fail(resumed.status());
+  ropts.journal = *resumed;
 
   exper::ParallelRunner runner(common.jobs);
   // The unified presentation path: RunReport -> Result<T> -> emit. The same
   // rows render as CSV/JSON lines for any machine consumer of the facade.
-  const auto result = as_result(runner.run(tasks, cfg.base_seed, ropts));
-  emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << core::target_name(tasks[i].config.target) << ") after "
-              << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
-  if (!result.ok()) return fail(result.status);
-  return 0;
+  return emit_run(as_result(runner.run(tasks, cfg.base_seed, ropts)),
+                  [&](std::size_t i) {
+                    return core::target_name(tasks[i].config.target);
+                  });
 }
 
 int cmd_impair(ArgParser& args) {
@@ -344,18 +381,11 @@ int cmd_impair(ArgParser& args) {
 
   // Intensity ladder: comma-separated per-record probabilities.
   std::vector<double> intensities;
-  {
-    std::string list = args.get_string("intensity");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const std::size_t comma = std::min(list.find(',', pos), list.size());
-      const std::string item = list.substr(pos, comma - pos);
-      if (!item.empty()) intensities.push_back(std::stod(item));
-      pos = comma + 1;
-    }
-    if (intensities.empty()) {
-      throw std::invalid_argument("--intensity needs at least one value");
-    }
+  for (const auto& item : split_list(args.get_string("intensity"))) {
+    intensities.push_back(std::stod(item));
+  }
+  if (intensities.empty()) {
+    throw std::invalid_argument("--intensity needs at least one value");
   }
 
   // Scoring harness: mean phi of `reps` replications against the packet-size
@@ -485,7 +515,7 @@ int cmd_watch(ArgParser& args) {
   };
   engine.on_snapshot(emit_score);
 
-  stream::PcapSource source(args.positionals().at(0));
+  stream::PcapSource source(args.positionals().at(0), parse_options(args));
   if (!source.ok()) return fail(source.status());
 
   stream::PipelineOptions popts;
@@ -504,6 +534,7 @@ int cmd_watch(ArgParser& args) {
             << source.clamped() << " clamped timestamps); ring peak "
             << report.ring.occupancy_peak << "/" << popts.ring_capacity
             << ", blocked pushes " << report.ring.blocked_pushes << "\n";
+  report_data_loss(source.parse_stats(), std::cerr);
   return 0;
 }
 
@@ -514,31 +545,21 @@ int cmd_watch(ArgParser& args) {
 volatile std::sig_atomic_t g_serve_stop = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 
-/// Installs the drain-on-signal handlers for the lifetime of a serve run.
-/// No SA_RESTART: poll() must wake with EINTR so the flag is seen promptly.
-/// SIGPIPE is ignored for the whole process — a client that disconnects
+/// Installs the drain-on-signal handlers for the rest of the process: a
+/// late SIGTERM while the drained daemon tears down must not kill it with
+/// the default action. No SA_RESTART: poll() must wake with EINTR so the
+/// flag is seen promptly. SIGPIPE is ignored — a client that disconnects
 /// mid-write must surface as EPIPE on that transport, not kill the daemon.
-class ServeSignalGuard {
- public:
-  ServeSignalGuard() {
-    g_serve_stop = 0;
-    struct sigaction sa{};
-    sa.sa_handler = serve_stop_handler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGTERM, &sa, &old_term_);
-    ::sigaction(SIGINT, &sa, &old_int_);
-    std::signal(SIGPIPE, SIG_IGN);
-  }
-  ~ServeSignalGuard() {
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    ::sigaction(SIGINT, &old_int_, nullptr);
-  }
-
- private:
-  struct sigaction old_term_{};
-  struct sigaction old_int_{};
-};
+void install_serve_signal_handlers() {
+  g_serve_stop = 0;
+  struct sigaction sa{};
+  sa.sa_handler = serve_stop_handler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ::sigaction(SIGTERM, &sa, nullptr);
+  ::sigaction(SIGINT, &sa, nullptr);
+  std::signal(SIGPIPE, SIG_IGN);
+}
 
 /// `netsample serve` — the multi-tenant streaming scoring daemon
 /// (docs/SERVING.md): sessions arrive over TCP as OPEN lines carrying an
@@ -565,9 +586,8 @@ int cmd_serve(ArgParser& args) {
 
   serve::Server server(std::move(sopts));
   server.start();  // StatusError on a bad/busy bind (exit 64)
+  install_serve_signal_handlers();  // before scripts can learn the address
   std::cout << "listening " << server.address() << "\n" << std::flush;
-
-  ServeSignalGuard signals;
   server.run();
 
   const serve::ServeStats s = server.stats();
@@ -629,7 +649,7 @@ int cmd_loadgen(ArgParser& args) {
 
   std::vector<trace::PacketRecord> packets;
   {
-    stream::PcapSource source(args.positionals().at(0));
+    stream::PcapSource source(args.positionals().at(0), parse_options(args));
     if (!source.ok()) return fail(source.status());
     std::vector<trace::PacketRecord> chunk;
     while (true) {
@@ -638,6 +658,7 @@ int cmd_loadgen(ArgParser& args) {
       packets.insert(packets.end(), chunk.begin(), chunk.end());
     }
     if (!source.status().is_ok()) return fail(source.status());
+    report_data_loss(source.parse_stats(), std::cerr);
   }
 
   std::signal(SIGPIPE, SIG_IGN);  // daemon death -> report, not our death
@@ -752,12 +773,7 @@ int cmd_stats(ArgParser& args) {
 /// Comma-separated u64 list ("2,4,8"); throws on empties and zeros.
 std::vector<std::uint64_t> parse_k_list(const std::string& list) {
   std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    const std::string item = list.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
+  for (const auto& item : split_list(list)) {
     const auto v = std::stoull(item);
     if (v == 0) throw std::invalid_argument("--grid-k: k must be >= 1");
     out.push_back(v);
@@ -774,12 +790,8 @@ void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
   const std::string methods = args.get_string("methods");
   if (methods == "all") return;
   spec->methods.clear();
-  std::size_t pos = 0;
-  while (pos <= methods.size()) {
-    const std::size_t comma = std::min(methods.find(',', pos), methods.size());
-    const std::string item = methods.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (!item.empty()) spec->methods.push_back(shard::parse_method_token(item));
+  for (const auto& item : split_list(methods)) {
+    spec->methods.push_back(shard::parse_method_token(item));
   }
   if (spec->methods.empty()) {
     throw std::invalid_argument("--methods needs at least one method");
@@ -819,16 +831,8 @@ shard::SweepSpec flow_spec_from_args(const ArgParser& args) {
   const std::string ks = args.get_string("grid-k");
   spec.granularities = ks == "ladder" ? flow::flow_ladder() : parse_k_list(ks);
 
-  const std::string estimators = args.get_string("estimators");
-  std::size_t pos = 0;
-  while (pos <= estimators.size()) {
-    const std::size_t comma =
-        std::min(estimators.find(',', pos), estimators.size());
-    const std::string item = estimators.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (!item.empty()) {
-      spec.estimators.push_back(flow::parse_estimator_token(item));
-    }
+  for (const auto& item : split_list(args.get_string("estimators"))) {
+    spec.estimators.push_back(flow::parse_estimator_token(item));
   }
   if (spec.estimators.empty()) {
     throw std::invalid_argument("--estimators needs at least one of rescale|em");
@@ -863,45 +867,35 @@ std::string self_exe(const char* argv0) {
 }
 
 /// The validated sharding vocabulary, read up front so a malformed flag is
-/// a usage error (64) before any capture is parsed or store written.
-struct ShardFlags {
-  int workers{0};
-  int chaos{0};
-  int max_respawns{0};
-  int depart{0};
-  int connect_retries{0};
-  double heartbeat{0};
-  double lease_timeout{0};
-  std::string transport;
-  std::string listen;
-  std::string netfault;
-};
-
-/// Throws std::invalid_argument / StatusError on malformed flags — both map
-/// to exit 64 in main().
-ShardFlags shard_flags_from_args(const ArgParser& args) {
-  ShardFlags f;
+/// a usage error (64) before any capture is parsed or store written. Throws
+/// std::invalid_argument / StatusError on malformed flags — both map to
+/// exit 64 in main(). --workers 0 means in-process.
+shard::CoordinatorOptions shard_flags_from_args(const ArgParser& args) {
+  shard::CoordinatorOptions f;
   f.workers =
       tools::checked_count("--workers", args.get_string("workers"), 4096);
-  f.chaos = tools::checked_count(
+  const int chaos = tools::checked_count(
       "--chaos-kill-after", args.get_string("chaos-kill-after"), 1000000000);
+  f.chaos_kill_after = chaos > 0 ? chaos : -1;
   f.max_respawns = tools::checked_count(
       "--max-respawns", args.get_string("max-respawns"), 1000000000);
-  f.depart = tools::checked_count(
+  const int depart = tools::checked_count(
       "--depart-after", args.get_string("depart-after"), 1000000000);
-  f.heartbeat = tools::checked_seconds(
+  f.first_worker_depart_after = depart > 0 ? depart : -1;
+  f.heartbeat_interval_s = tools::checked_seconds(
       "--heartbeat-interval", args.get_string("heartbeat-interval"), 3600.0);
-  f.lease_timeout = tools::checked_seconds(
+  f.lease_timeout_s = tools::checked_seconds(
       "--lease-timeout", args.get_string("lease-timeout"), 3600.0);
   f.connect_retries = tools::checked_count(
       "--connect-retries", args.get_string("connect-retries"), 1000);
-  f.transport = args.get_string("transport");
-  if (f.transport != "pipe" && f.transport != "socket") {
+  const std::string transport = args.get_string("transport");
+  if (transport != "pipe" && transport != "socket") {
     throw std::invalid_argument("--transport must be pipe or socket, got \"" +
-                                f.transport + "\"");
+                                transport + "\"");
   }
   f.listen = args.get_string("listen");
-  if (f.transport == "socket") {
+  if (transport == "socket") {
+    f.transport = shard::TransportKind::kSocket;
     auto hp = shard::parse_host_port(f.listen);
     if (!hp.has_value()) throw StatusError(hp.status());
   }
@@ -915,7 +909,7 @@ ShardFlags shard_flags_from_args(const ArgParser& args) {
   return f;
 }
 
-/// Run `spec` sharded over f.workers processes and re-dress the shard
+/// Run `spec` sharded over copts.workers processes and re-dress the shard
 /// outcomes as an exper::RunReport so the table renders through the exact
 /// same code path as the in-process run (byte-identical output). Throws
 /// StatusError on store/coordinator failure. Scheduling facts (store reuse,
@@ -924,7 +918,8 @@ ShardFlags shard_flags_from_args(const ArgParser& args) {
 exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
                                     const std::vector<exper::GridTask>& grid,
                                     exper::Experiment& ex,
-                                    const ShardFlags& f, const ArgParser& args,
+                                    shard::CoordinatorOptions copts,
+                                    const ArgParser& args,
                                     const char* argv0,
                                     exper::CheckpointJournal* journal) {
   const std::string store_path = args.has("store")
@@ -951,23 +946,10 @@ exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
   std::cerr << "store: " << (wrote_store ? "wrote " : "reusing ") << store_path
             << "\n";
 
-  shard::CoordinatorOptions copts;
-  copts.workers = f.workers;
   copts.store_path = store_path;
   copts.backend = args.get_string("store-backend");
   copts.journal = journal;
   copts.worker_command = {self_exe(argv0), "worker"};
-  copts.chaos_kill_after = f.chaos > 0 ? f.chaos : -1;
-  copts.max_respawns = f.max_respawns;
-  copts.first_worker_depart_after = f.depart > 0 ? f.depart : -1;
-  if (f.transport == "socket") {
-    copts.transport = shard::TransportKind::kSocket;
-  }
-  copts.listen = f.listen;
-  copts.heartbeat_interval_s = f.heartbeat;
-  copts.lease_timeout_s = f.lease_timeout;
-  copts.connect_retries = f.connect_retries;
-  copts.netfault = f.netfault;
 
   auto sharded = shard::run_sharded_sweep(spec, copts);
   if (wrote_store && !args.get_bool("keep-store")) {
@@ -1005,7 +987,7 @@ exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
 /// journals: seeds derive from grid coordinates, never from scheduling.
 int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
-  const ShardFlags flags = shard_flags_from_args(args);
+  const shard::CoordinatorOptions flags = shard_flags_from_args(args);
 
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
@@ -1014,19 +996,8 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
   const shard::SweepSpec spec = sweep_spec_from_args(args);
 
   exper::CheckpointJournal journal;
-  bool have_journal = false;
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    std::cout << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cout << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cout << "\n";
-    have_journal = true;
-  }
+  auto resumed = open_resume_journal(args, std::cout, journal);
+  if (!resumed) return fail(resumed.status());
 
   const auto grid = shard::build_grid(spec, ex.full(),
                                       ex.mean_interarrival_usec(),
@@ -1038,24 +1009,16 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
     // quarantine-and-continue semantics.
     exper::RunOptions ropts;
     ropts.on_error = exper::FailPolicy::kSkip;
-    if (have_journal) ropts.journal = &journal;
+    ropts.journal = *resumed;
     exper::ParallelRunner runner(common.jobs);
     rr = runner.run(grid, spec.base_seed, ropts);
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0,
-                            have_journal ? &journal : nullptr);
+    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resumed);
   }
 
-  const auto result = as_result(std::move(rr));
-  emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << core::target_name(grid[i].config.target) << ") after "
-              << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
-  if (!result.ok()) return fail(result.status);
-  return 0;
+  return emit_run(as_result(std::move(rr)), [&](std::size_t i) {
+    return core::target_name(grid[i].config.target);
+  });
 }
 
 /// `netsample flows` — top talkers by default; with --sweep, the flow
@@ -1070,24 +1033,13 @@ int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
 int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
   if (!args.get_bool("sweep")) return flow_top_talkers(args);
-  const ShardFlags flags = shard_flags_from_args(args);
+  const shard::CoordinatorOptions flags = shard_flags_from_args(args);
 
+  // Banner on stderr, unlike sweep's: the flows table on stdout must stay
+  // byte-diffable between a resumed and an uninterrupted run.
   exper::CheckpointJournal journal;
-  bool have_journal = false;
-  if (args.has("resume")) {
-    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-    if (!opened) return fail(opened.status());
-    journal = std::move(*opened);
-    // Banner on stderr, unlike sweep's: the flows table on stdout must stay
-    // byte-diffable between a resumed and an uninterrupted run.
-    std::cerr << "journal " << journal.path() << ": " << journal.size()
-              << " cells already complete";
-    if (journal.dropped_lines() > 0) {
-      std::cerr << " (" << journal.dropped_lines() << " torn lines dropped)";
-    }
-    std::cerr << "\n";
-    have_journal = true;
-  }
+  auto resumed = open_resume_journal(args, std::cerr, journal);
+  if (!resumed) return fail(resumed.status());
 
   auto t = load(args.positionals().at(0), args, std::cerr);
   if (!t) return fail(t.status());
@@ -1102,7 +1054,7 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
   if (flags.workers == 0) {
     exper::RunOptions ropts;
     ropts.on_error = exper::FailPolicy::kSkip;
-    if (have_journal) ropts.journal = &journal;
+    ropts.journal = *resumed;
     // The workload hook: identical to what sharded workers run per cell.
     ropts.cell_runner = [&spec](const exper::CellConfig& cfg,
                                 std::size_t index) {
@@ -1112,20 +1064,12 @@ int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
     exper::ParallelRunner runner(common.jobs);
     rr = runner.run(grid, spec.base_seed, ropts);
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0,
-                            have_journal ? &journal : nullptr);
+    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resumed);
   }
 
-  const auto result = as_flow_result(std::move(rr), spec);
-  emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " ("
-              << flow::estimator_name(shard::grid_estimator(spec, i))
-              << ") after " << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
-  if (!result.ok()) return fail(result.status);
-  return 0;
+  return emit_run(as_flow_result(std::move(rr), spec), [&](std::size_t i) {
+    return flow::estimator_name(shard::grid_estimator(spec, i));
+  });
 }
 
 /// `netsample worker` — one sharded-sweep worker, speaking the lease
