@@ -8,23 +8,7 @@
 // Unlike the micro_* google-benchmark binaries this is a plain-chrono
 // driver, because each measurement must toggle the global legacy-scan and
 // SIMD-variant switches around an otherwise identical run_cell call.
-//
-//   --out FILE       where to write the JSON report (default BENCH_sweep.json)
-//   --minutes M      synthetic trace length (default 8)
-//   --reps R         replications per cell (default 5)
-//   --workers N      also time the headline cells through the sharded
-//                    multi-process runtime (N forked workers over one
-//                    memory-mapped TraceStore) and report
-//                    pkts_per_sec_multiproc plus the store map-vs-rebuild
-//                    amortization (docs/SHARDING.md)
-//   --legacy-scan    time the legacy path only (no comparison, no speedup)
-//   --simd VARIANT   measure VARIANT instead of the best available one
-//   --baseline FILE  compare the headline against a committed baseline
-//   --tolerance PCT  allowed headline regression vs baseline (default 25)
-//
-// Exit codes: 0 ok, 1 phi mismatch / multiproc failure, 2 usage/IO,
-// 3 baseline machine-class mismatch, 4 headline regression beyond
-// tolerance.
+// `micro_sweep --help` lists the flags and exit codes.
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -40,6 +24,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 namespace simd = core::simd;
+
+constexpr const char* kUsage =
+    "usage: micro_sweep [flags]\n"
+    "  --out FILE          where to write the JSON report (default "
+    "BENCH_sweep.json)\n"
+    "  --minutes M         synthetic trace length (default 8)\n"
+    "  --reps R            replications per cell (default 5)\n"
+    "  --workers N         also time the headline cells through the sharded\n"
+    "                      multi-process runtime (N forked workers over one\n"
+    "                      memory-mapped TraceStore) and report\n"
+    "                      pkts_per_sec_multiproc plus the store\n"
+    "                      map-vs-rebuild amortization (docs/SHARDING.md)\n"
+    "  --legacy-scan       time the legacy path only (no comparison, no "
+    "speedup)\n"
+    "  --simd VARIANT      measure VARIANT instead of the best available one\n"
+    "  --baseline FILE     compare the headline against a committed baseline\n"
+    "  --tolerance PCT     allowed headline regression vs baseline (default "
+    "25)\n"
+    "  --metrics-out FILE  write the run's metrics snapshot\n"
+    "  --trace-out FILE    write the run's span trace\n"
+    "  --help              print this help and exit\n"
+    "exit codes: 0 ok, 1 phi mismatch / multiproc failure, 2 usage/IO,\n"
+    "3 baseline machine-class mismatch, 4 headline regression beyond "
+    "tolerance\n";
 
 double parse_positive_double(const char* flag, const char* text) {
   errno = 0;
@@ -185,9 +193,22 @@ int main(int argc, char** argv) {
           parse_positive_double("--workers", argv[++i]));
     } else if (arg == "--tolerance" && has_value) {
       tolerance_pct = parse_positive_double("--tolerance", argv[++i]);
+    } else if (arg == "--legacy-scan") {
+      // Read by bench_legacy_scan above.
+    } else if ((arg == "--simd" || arg == "--metrics-out" ||
+                arg == "--trace-out") &&
+               has_value) {
+      ++i;  // Read by bench_simd / bench_obs above.
+    } else if (arg == "--help") {
+      std::fputs(kUsage, stdout);
+      return 0;
     } else if (arg == "--out" || arg == "--baseline" || arg == "--minutes" ||
-               arg == "--reps" || arg == "--workers" || arg == "--tolerance") {
+               arg == "--reps" || arg == "--workers" || arg == "--tolerance" ||
+               arg == "--metrics-out" || arg == "--trace-out") {
       std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
+      return 2;
+    } else {
+      std::fprintf(stderr, "error: unknown flag %s\n%s", arg.c_str(), kUsage);
       return 2;
     }
   }

@@ -11,6 +11,7 @@
 
 #include "core/samplers.h"
 #include "core/targets.h"
+#include "flow/sampled_table.h"
 #include "net/headers.h"
 #include "synth/presets.h"
 #include "trace/flows.h"
@@ -20,8 +21,12 @@ using namespace netsample;
 
 namespace {
 
-trace::Trace packets_to_trace(std::vector<trace::PacketRecord> packets) {
-  return trace::Trace(std::move(packets));
+/// Every flow of `view` (30 s idle timeout), through an uncapped table.
+std::vector<trace::FlowRecord> assemble_flows(trace::TraceView view) {
+  flow::SampledFlowTable table(MicroDuration::from_seconds(30), 0);
+  for (const auto& p : view) table.offer(p);
+  table.flush();
+  return table.records();
 }
 
 }  // namespace
@@ -33,9 +38,9 @@ int main() {
   synth::TraceModel model(synth::sdsc_minutes_config(5.0, 31));
   const auto t = model.generate();
 
-  trace::FlowTable full_table(MicroDuration::from_seconds(30));
-  full_table.run(t.view());
-  const auto full = full_table.stats();
+  const auto full_flows = assemble_flows(t.view());
+  const auto full = trace::flow_stats(full_flows);
+  const auto top_full = trace::top_by_packets(full_flows, 5);
 
   std::cout << "full stream: " << fmt_count(full.packets) << " packets in "
             << fmt_count(full.flows) << " flows (mean "
@@ -47,18 +52,16 @@ int main() {
   for (std::uint64_t k : {10ULL, 50ULL, 250ULL}) {
     core::SystematicCountSampler sampler(k);
     const auto sample = core::draw(t.view(), sampler);
-    trace::FlowTable sampled_table(MicroDuration::from_seconds(30));
-    sampled_table.run(
-        packets_to_trace(sample.packets()).view());
-    const auto sampled = sampled_table.stats();
+    const auto sampled_flows =
+        assemble_flows(trace::Trace(sample.packets()).view());
+    const auto sampled = trace::flow_stats(sampled_flows);
 
     // Heavy-hitter byte fidelity: match the full top-5 flows in the sampled
     // table (scaled by k).
-    const auto top_full = full_table.top_by_packets(5);
     double err_sum = 0.0;
     int matched = 0;
     for (const auto& f : top_full) {
-      for (const auto& g : sampled_table.expired()) {
+      for (const auto& g : sampled_flows) {
         if (g.key == f.key) {
           const double est =
               static_cast<double>(g.bytes) * static_cast<double>(k);
@@ -84,7 +87,7 @@ int main() {
   std::cout << "\ntop-5 flows of the full stream:\n";
   TextTable top({"src", "dst", "proto", "dport", "packets", "bytes",
                  "duration s"});
-  for (const auto& f : full_table.top_by_packets(5)) {
+  for (const auto& f : top_full) {
     top.add_row({f.key.src.to_string(), f.key.dst.to_string(),
                  net::ip_proto_name(f.key.protocol),
                  std::to_string(f.key.dst_port), fmt_count(f.packets),

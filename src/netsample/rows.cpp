@@ -138,21 +138,18 @@ void emit(const Table& table, RowFormat format, std::ostream& os,
   }
 }
 
-Result<exper::RunReport> as_flow_result(exper::RunReport report,
-                                        const shard::SweepSpec& spec) {
-  if (spec.workload != shard::Workload::kFlow) {
-    throw std::invalid_argument("as_flow_result: not a flow sweep spec");
-  }
-  if (report.cells.size() != spec.cell_count()) {
-    throw std::invalid_argument("as_flow_result: report has " +
-                                std::to_string(report.cells.size()) +
-                                " cells, spec expects " +
-                                std::to_string(spec.cell_count()));
-  }
+namespace {
+
+/// One row per grid cell, quarantined cells padded with "-". The adapters
+/// differ only in the third column: its name, and `third(i, config)`.
+template <typename ThirdColumn>
+Result<exper::RunReport> grid_result(exper::RunReport report,
+                                     const char* third_name,
+                                     ThirdColumn third) {
   Result<exper::RunReport> out;
   out.status = report.first_failure();
-  out.rows.columns = {"cell",   "method",   "estimator", "k",
-                      "status", "attempts", "phi mean",  "phi min",
+  out.rows.columns = {"cell",   "method",   third_name, "k",
+                      "status", "attempts", "phi mean", "phi min",
                       "phi max", "mean n"};
   for (std::size_t i = 0; i < report.cells.size(); ++i) {
     const auto& cell = report.cells[i];
@@ -160,7 +157,7 @@ Result<exper::RunReport> as_flow_result(exper::RunReport report,
     std::vector<std::string> row;
     row.push_back(std::to_string(i));
     row.push_back(core::method_name(config.method));
-    row.push_back(flow::estimator_name(shard::grid_estimator(spec, i)));
+    row.push_back(third(i, config));
     row.push_back(std::to_string(config.granularity));
     row.push_back(cell.status.is_ok()
                       ? (cell.from_journal ? "ok (journal)" : "ok")
@@ -182,38 +179,31 @@ Result<exper::RunReport> as_flow_result(exper::RunReport report,
   return out;
 }
 
-Result<exper::RunReport> as_result(exper::RunReport report) {
-  Result<exper::RunReport> out;
-  out.status = report.first_failure();
-  out.rows.columns = {"cell",  "method",   "target", "k",
-                      "status", "attempts", "phi mean", "phi min",
-                      "phi max", "mean n"};
-  for (std::size_t i = 0; i < report.cells.size(); ++i) {
-    const auto& cell = report.cells[i];
-    const auto& config = cell.result.config;
-    std::vector<std::string> row;
-    row.push_back(std::to_string(i));
-    row.push_back(core::method_name(config.method));
-    row.push_back(core::target_name(config.target));
-    row.push_back(std::to_string(config.granularity));
-    row.push_back(cell.status.is_ok()
-                      ? (cell.from_journal ? "ok (journal)" : "ok")
-                      : cell.status.to_string());
-    row.push_back(std::to_string(cell.attempts));
-    if (cell.status.is_ok() && !cell.result.replications.empty()) {
-      const auto phis = cell.result.phi_values();
-      const auto [mn, mx] = std::minmax_element(phis.begin(), phis.end());
-      row.push_back(fmt_double(cell.result.phi_mean(), 4));
-      row.push_back(fmt_double(*mn, 4));
-      row.push_back(fmt_double(*mx, 4));
-      row.push_back(fmt_double(cell.result.mean_sample_size(), 1));
-    } else {
-      row.insert(row.end(), {"-", "-", "-", "-"});
-    }
-    out.rows.add_row(std::move(row));
+}  // namespace
+
+Result<exper::RunReport> as_flow_result(exper::RunReport report,
+                                        const shard::SweepSpec& spec) {
+  if (spec.workload != shard::Workload::kFlow) {
+    throw std::invalid_argument("as_flow_result: not a flow sweep spec");
   }
-  out.value = std::move(report);
-  return out;
+  if (report.cells.size() != spec.cell_count()) {
+    throw std::invalid_argument("as_flow_result: report has " +
+                                std::to_string(report.cells.size()) +
+                                " cells, spec expects " +
+                                std::to_string(spec.cell_count()));
+  }
+  return grid_result(std::move(report), "estimator",
+                     [&spec](std::size_t i, const exper::CellConfig&) {
+                       return flow::estimator_name(
+                           shard::grid_estimator(spec, i));
+                     });
+}
+
+Result<exper::RunReport> as_result(exper::RunReport report) {
+  return grid_result(std::move(report), "target",
+                     [](std::size_t, const exper::CellConfig& config) {
+                       return core::target_name(config.target);
+                     });
 }
 
 }  // namespace netsample

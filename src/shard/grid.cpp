@@ -272,6 +272,24 @@ std::string grid_journal_key(const exper::GridTask& task,
          task.journal_suffix;
 }
 
+exper::CellResult run_grid_cell(const SweepSpec& spec,
+                                const exper::CellConfig& config,
+                                std::size_t index) {
+  if (spec.workload == Workload::kFlow) {
+    return flow::run_flow_cell(config, spec.flow, grid_estimator(spec, index));
+  }
+  return exper::run_cell(config);
+}
+
+exper::RunOptions grid_run_options(const SweepSpec& spec,
+                                   exper::RunOptions options) {
+  options.cell_runner = [spec](const exper::CellConfig& config,
+                               std::size_t index) {
+    return run_grid_cell(spec, config, index);
+  };
+  return options;
+}
+
 flow::Estimator grid_estimator(const SweepSpec& spec, std::size_t index) {
   if (spec.workload != Workload::kFlow) {
     throw std::invalid_argument("grid_estimator: not a flow sweep");

@@ -96,6 +96,20 @@ struct SweepSpec {
 [[nodiscard]] std::string grid_journal_key(const exper::GridTask& task,
                                            std::uint64_t base_seed);
 
+/// The per-cell payload of grid task `index` under `spec`: exper::run_cell
+/// for a packet sweep, flow::run_flow_cell with the task's estimator for a
+/// flow sweep. The one dispatch both executors run — ParallelRunner through
+/// grid_run_options, workers in their LEASE reply — which is what makes
+/// --workers W bit-identical to --jobs J.
+[[nodiscard]] exper::CellResult run_grid_cell(const SweepSpec& spec,
+                                              const exper::CellConfig& config,
+                                              std::size_t index);
+
+/// `options` with RunOptions::cell_runner set to run_grid_cell over a copy
+/// of `spec`: how ParallelRunner runs `spec`'s grid in-process.
+[[nodiscard]] exper::RunOptions grid_run_options(const SweepSpec& spec,
+                                                 exper::RunOptions options);
+
 /// Estimator of grid task `index` of a kFlow spec (the estimator is the
 /// outermost axis of the canonical order, so it is index / (methods x
 /// granularities)). Throws std::invalid_argument for a kPacket spec or an

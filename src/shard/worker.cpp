@@ -221,14 +221,7 @@ class WorkerSession {
     const exper::CellConfig cfg =
         derived_cell_config(grid_[index], spec_.base_seed);
     try {
-      // Same dispatch the in-process ParallelRunner path performs through
-      // RunOptions::cell_runner — both paths execute the identical per-cell
-      // payload, which is what makes --workers W ≡ --jobs J bit-exact.
-      const exper::CellResult result =
-          spec_.workload == Workload::kFlow
-              ? flow::run_flow_cell(cfg, spec_.flow,
-                                    grid_estimator(spec_, index))
-              : exper::run_cell(cfg);
+      const exper::CellResult result = run_grid_cell(spec_, cfg, index);
       reply.type = MessageType::kResult;
       reply.text = exper::encode_replications(result.replications);
     } catch (const StatusError& e) {

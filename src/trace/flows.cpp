@@ -68,8 +68,9 @@ void FlowTable::flush() {
   active_.clear();
 }
 
-std::vector<FlowRecord> FlowTable::top_by_packets(std::size_t n) const {
-  std::vector<FlowRecord> out = expired_;
+std::vector<FlowRecord> top_by_packets(std::span<const FlowRecord> records,
+                                       std::size_t n) {
+  std::vector<FlowRecord> out(records.begin(), records.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const FlowRecord& a, const FlowRecord& b) {
                      return a.packets > b.packets;
@@ -78,11 +79,11 @@ std::vector<FlowRecord> FlowTable::top_by_packets(std::size_t n) const {
   return out;
 }
 
-FlowTable::Stats FlowTable::stats() const {
-  Stats s;
-  s.flows = expired_.size();
+FlowStats flow_stats(std::span<const FlowRecord> records) {
+  FlowStats s;
+  s.flows = records.size();
   double dur_sum = 0.0;
-  for (const auto& f : expired_) {
+  for (const auto& f : records) {
     s.packets += f.packets;
     s.bytes += f.bytes;
     dur_sum += f.duration().to_seconds();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -65,8 +66,26 @@ struct FlowRecord {
   friend bool operator==(const FlowRecord&, const FlowRecord&) = default;
 };
 
-/// Streaming flow table with idle-timeout expiry.
-class FlowTable {
+/// Summary across a set of flow records.
+struct FlowStats {
+  std::uint64_t flows{0};
+  std::uint64_t packets{0};
+  std::uint64_t bytes{0};
+  double mean_flow_packets{0};
+  double mean_flow_duration_sec{0};
+};
+[[nodiscard]] FlowStats flow_stats(std::span<const FlowRecord> records);
+
+/// The `n` records with the most packets, in descending packet order; ties
+/// keep their order in `records` (top talkers).
+[[nodiscard]] std::vector<FlowRecord> top_by_packets(
+    std::span<const FlowRecord> records, std::size_t n);
+
+/// Streaming flow table with idle-timeout expiry, in hash order. Superseded
+/// by flow::SampledFlowTable(idle_timeout, 0), which finishes the same
+/// records in a deterministic order.
+class [[deprecated(
+    "use flow::SampledFlowTable; removed in the next release")]] FlowTable {
  public:
   /// Throws std::invalid_argument unless idle_timeout > 0.
   explicit FlowTable(MicroDuration idle_timeout);
@@ -87,17 +106,13 @@ class FlowTable {
   }
 
   /// Expired flows sorted by descending packet count (top talkers).
-  [[nodiscard]] std::vector<FlowRecord> top_by_packets(std::size_t n) const;
+  [[nodiscard]] std::vector<FlowRecord> top_by_packets(std::size_t n) const {
+    return trace::top_by_packets(expired_, n);
+  }
 
   /// Summary across all expired flows.
-  struct Stats {
-    std::uint64_t flows{0};
-    std::uint64_t packets{0};
-    std::uint64_t bytes{0};
-    double mean_flow_packets{0};
-    double mean_flow_duration_sec{0};
-  };
-  [[nodiscard]] Stats stats() const;
+  using Stats = FlowStats;
+  [[nodiscard]] Stats stats() const { return flow_stats(expired_); }
 
  private:
   void expire_idle(MicroTime now);

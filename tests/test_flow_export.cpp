@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "flow/sampled_table.h"
 #include "synth/presets.h"
 
 namespace netsample::trace {
@@ -163,13 +164,14 @@ TEST(FlowExport, EndToEndFromFlowTable) {
   // aggregate statistics.
   synth::TraceModel model(synth::sdsc_minutes_config(0.5, 13));
   const auto t = model.generate();
-  FlowTable table(MicroDuration::from_seconds(30));
-  table.run(t.view());
+  flow::SampledFlowTable table(MicroDuration::from_seconds(30), 0);
+  for (const auto& p : t.view()) table.offer(p);
+  table.flush();
 
-  const auto bytes = serialize_flows(table.expired());
+  const auto bytes = serialize_flows(table.records());
   const auto parsed = parse_flows(bytes);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), table.expired().size());
+  ASSERT_EQ(parsed->size(), table.records().size());
   std::uint64_t packets = 0;
   for (const auto& f : *parsed) packets += f.packets;
   EXPECT_EQ(packets, t.size());

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "flow/sampled_table.h"
 #include "synth/presets.h"
 
 namespace netsample::trace {
@@ -29,30 +32,36 @@ const net::Ipv4Address kA(10, 0, 0, 1);
 const net::Ipv4Address kB(10, 0, 0, 2);
 const net::Ipv4Address kC(10, 0, 0, 3);
 
+// The flow-table behaviours, through flow::SampledFlowTable at capacity 0
+// (uncapped), the table that superseded trace::FlowTable.
+flow::SampledFlowTable uncapped(MicroDuration idle_timeout) {
+  return flow::SampledFlowTable(idle_timeout, 0);
+}
+
 TEST(FlowTable, GroupsByFiveTuple) {
-  FlowTable table(MicroDuration::from_seconds(60));
+  auto table = uncapped(MicroDuration::from_seconds(60));
   table.offer(pkt(0, kA, kB, 1025, 23));
   table.offer(pkt(1000, kA, kB, 1025, 23, 6, 200));
   table.offer(pkt(2000, kA, kB, 1026, 23));  // different src port
   table.offer(pkt(3000, kA, kC, 1025, 23));  // different dst
   EXPECT_EQ(table.active_flows(), 3u);
   table.flush();
-  EXPECT_EQ(table.expired().size(), 3u);
+  EXPECT_EQ(table.records().size(), 3u);
 
-  const auto top = table.top_by_packets(1);
+  const auto top = top_by_packets(table.records(), 1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].packets, 2u);
   EXPECT_EQ(top[0].bytes, 300u);
 }
 
 TEST(FlowTable, TracksTimesAndFlags) {
-  FlowTable table(MicroDuration::from_seconds(60));
+  auto table = uncapped(MicroDuration::from_seconds(60));
   table.offer(pkt(1000, kA, kB, 1025, 23, 6, 40, 0x02));  // SYN
   table.offer(pkt(5000, kA, kB, 1025, 23, 6, 100, 0x18));
   table.offer(pkt(9000, kA, kB, 1025, 23, 6, 40, 0x11));  // FIN|ACK
   table.flush();
-  ASSERT_EQ(table.expired().size(), 1u);
-  const auto& f = table.expired()[0];
+  ASSERT_EQ(table.records().size(), 1u);
+  const auto& f = table.records()[0];
   EXPECT_EQ(f.first_seen.usec, 1000u);
   EXPECT_EQ(f.last_seen.usec, 9000u);
   EXPECT_EQ(f.duration().usec, 8000);
@@ -62,42 +71,42 @@ TEST(FlowTable, TracksTimesAndFlags) {
 }
 
 TEST(FlowTable, IdleTimeoutExpiresFlows) {
-  FlowTable table(MicroDuration::from_seconds(1));
+  auto table = uncapped(MicroDuration::from_seconds(1));
   table.offer(pkt(0, kA, kB, 1025, 23));
   // 5 seconds later (far beyond timeout + amortization slack).
   table.offer(pkt(5'000'000, kA, kC, 1025, 23));
-  EXPECT_EQ(table.expired().size(), 1u);
+  EXPECT_EQ(table.records().size(), 1u);
   EXPECT_EQ(table.active_flows(), 1u);
 }
 
 TEST(FlowTable, ContinuingTrafficKeepsFlowAlive) {
-  FlowTable table(MicroDuration::from_seconds(1));
+  auto table = uncapped(MicroDuration::from_seconds(1));
   for (int i = 0; i < 100; ++i) {
     table.offer(pkt(static_cast<std::uint64_t>(i) * 500'000, kA, kB, 1025, 23));
   }
   table.flush();
-  EXPECT_EQ(table.expired().size(), 1u);
-  EXPECT_EQ(table.expired()[0].packets, 100u);
+  EXPECT_EQ(table.records().size(), 1u);
+  EXPECT_EQ(table.records()[0].packets, 100u);
 }
 
 TEST(FlowTable, RejectsTimeTravel) {
-  FlowTable table(MicroDuration::from_seconds(1));
+  auto table = uncapped(MicroDuration::from_seconds(1));
   table.offer(pkt(1000, kA, kB, 1, 2));
   EXPECT_THROW(table.offer(pkt(500, kA, kB, 1, 2)), std::invalid_argument);
 }
 
 TEST(FlowTable, RejectsBadTimeout) {
-  EXPECT_THROW(FlowTable(MicroDuration{0}), std::invalid_argument);
-  EXPECT_THROW(FlowTable(MicroDuration{-5}), std::invalid_argument);
+  EXPECT_THROW(uncapped(MicroDuration{0}), std::invalid_argument);
+  EXPECT_THROW(uncapped(MicroDuration{-5}), std::invalid_argument);
 }
 
 TEST(FlowTable, StatsAggregate) {
-  FlowTable table(MicroDuration::from_seconds(60));
+  auto table = uncapped(MicroDuration::from_seconds(60));
   table.offer(pkt(0, kA, kB, 1, 2, 6, 100));
   table.offer(pkt(1'000'000, kA, kB, 1, 2, 6, 100));
   table.offer(pkt(2'000'000, kA, kC, 3, 4, 17, 50));
   table.flush();
-  const auto s = table.stats();
+  const auto s = flow_stats(table.records());
   EXPECT_EQ(s.flows, 2u);
   EXPECT_EQ(s.packets, 3u);
   EXPECT_EQ(s.bytes, 250u);
@@ -111,15 +120,53 @@ TEST(FlowTable, RunDrivesWholeView) {
   // multiple networks.
   synth::TraceModel model(synth::sdsc_minutes_config(1.0, 77));
   const auto t = model.generate();
-  FlowTable table(MicroDuration::from_seconds(30));
-  table.run(t.view());
-  const auto s = table.stats();
+  auto table = uncapped(MicroDuration::from_seconds(30));
+  for (const auto& p : t.view()) table.offer(p);
+  table.flush();
+  const auto s = flow_stats(table.records());
   EXPECT_EQ(s.packets, t.size());
   EXPECT_GT(s.flows, 100u);
   EXPECT_GT(s.mean_flow_packets, 1.5);
-  const auto top = table.top_by_packets(5);
+  const auto top = top_by_packets(table.records(), 5);
   ASSERT_EQ(top.size(), 5u);
   EXPECT_GE(top[0].packets, top[4].packets);
+}
+
+TEST(FlowTable, TopTalkerTiesFollowExpiryBatchThenFirstSeenThenKey) {
+  // Every flow below carries 2 packets, so top_by_packets orders them by
+  // record order alone: the expiry batch first, then first_seen, then the
+  // 5-tuple — never hash order.
+  auto table = uncapped(MicroDuration::from_seconds(1));
+  table.offer(pkt(0, kC, kB, 9, 23));         // batch 1, t=0, larger key
+  table.offer(pkt(0, kA, kB, 9, 23));         // batch 1, t=0, smaller key
+  table.offer(pkt(100'000, kA, kB, 1, 23));   // batch 1, t=0.1
+  table.offer(pkt(200'000, kC, kB, 9, 23));
+  table.offer(pkt(200'000, kA, kB, 9, 23));
+  table.offer(pkt(200'000, kA, kB, 1, 23));
+  // 5 s on, the three flows above expire together; these finish in the
+  // flush, a later batch, although kA < kC.
+  table.offer(pkt(5'000'000, kC, kA, 7, 23));
+  table.offer(pkt(5'000'000, kA, kC, 7, 23));
+  table.offer(pkt(5'100'000, kC, kA, 7, 23));
+  table.offer(pkt(5'100'000, kA, kC, 7, 23));
+  table.flush();
+
+  const auto top = top_by_packets(table.records(), 10);
+  ASSERT_EQ(top.size(), 5u);
+  const std::vector<std::pair<net::Ipv4Address, std::uint16_t>> want = {
+      {kA, 9}, {kC, 9}, {kA, 1}, {kA, 7}, {kC, 7}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(top[i].packets, 2u) << i;
+    EXPECT_EQ(top[i].key.src, want[i].first) << i;
+    EXPECT_EQ(top[i].key.src_port, want[i].second) << i;
+  }
+  // A flow with more packets still comes first.
+  auto busier = uncapped(MicroDuration::from_seconds(1));
+  busier.offer(pkt(0, kA, kB, 1, 23));
+  busier.offer(pkt(0, kC, kB, 1, 23));
+  busier.offer(pkt(10, kC, kB, 1, 23));
+  busier.flush();
+  EXPECT_EQ(top_by_packets(busier.records(), 1).at(0).key.src, kC);
 }
 
 TEST(FlowKeyHash, DistinctKeysRarelyCollide) {

@@ -4,6 +4,7 @@
 //   netsample inspect  trace.pcap
 //   netsample sample   trace.pcap --method systematic --k 50 --out out.pcap
 //   netsample score    trace.pcap --method systematic --k 50 [--reps 5]
+//                      [--workers N]
 //   netsample flows    trace.pcap [--timeout 30] [--top 10]
 //   netsample flows    trace.pcap --sweep [--estimators rescale,em]
 //                      [--grid-k 10,100,1000] [--flow-cap N] [--workers N]
@@ -14,9 +15,14 @@
 //   netsample serve    [--listen 127.0.0.1:0] [--lanes N] [--max-sessions N]
 //   netsample loadgen  trace.pcap --connect HOST:PORT [--sessions N]
 //   netsample stats    metrics.json [--masked]
-//   netsample sweep    trace.pcap [--workers N] [--resume journal.ckpt]
-//   netsample worker   --store trace.nstore   (spawned by sweep, not users)
+//   netsample sweep    trace.pcap [--methods LIST] [--grid-k LIST]
+//                      [--workers N] [--resume journal.ckpt]
+//   netsample worker   --store trace.nstore   (spawned by --workers runs)
 //   netsample journal  compact journal.ckpt
+//
+// score (histogram targets), sweep and flows --sweep are one grid run each:
+// threads under --jobs, or worker processes over a shared trace store under
+// --workers, with byte-identical stdout and --resume journals either way.
 //
 // score/impair (and the figure binaries) accept --metrics-out FILE /
 // --trace-out FILE to export an observability snapshot of the run;
@@ -97,8 +103,8 @@ int usage() {
       "  stats      pretty-print a --metrics-out JSON snapshot\n"
       "  sweep      score the whole method x k grid, optionally sharded\n"
       "             over --workers N processes on a memory-mapped store\n"
-      "  worker     sharded-sweep worker (spawned by sweep; speaks the\n"
-      "             lease protocol on stdin/stdout)\n"
+      "  worker     sharded grid worker (spawned by score, sweep and flows\n"
+      "             --sweep under --workers; speaks the lease protocol)\n"
       "  journal    maintain checkpoint journals (journal compact FILE)\n"
       "run 'netsample <command> --help' for flags.\n";
   return kExitUsage;
@@ -114,24 +120,6 @@ std::vector<std::string> split_list(const std::string& list) {
     pos = comma + 1;
   }
   return items;
-}
-
-/// --resume FILE: open the checkpoint journal into `journal` and say on
-/// `out` what it already holds. nullptr without --resume.
-StatusOr<exper::CheckpointJournal*> open_resume_journal(
-    const ArgParser& args, std::ostream& out,
-    exper::CheckpointJournal& journal) {
-  if (!args.has("resume")) return nullptr;
-  auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
-  if (!opened) return opened.status();
-  journal = std::move(*opened);
-  out << "journal " << journal.path() << ": " << journal.size()
-      << " cells already complete";
-  if (journal.dropped_lines() > 0) {
-    out << " (" << journal.dropped_lines() << " torn lines dropped)";
-  }
-  out << "\n";
-  return &journal;
 }
 
 /// --strict / --salvage as the corrupt-record policy every capture reader
@@ -169,24 +157,10 @@ StatusOr<trace::Trace> load(const std::string& path, const ArgParser& args,
   return t;
 }
 
-/// Print a grid run's table on stdout and each quarantined cell, named by
-/// `label(i)`, on stderr; returns the command's exit code.
-template <typename Label>
-int emit_run(const Result<exper::RunReport>& result, Label label) {
-  emit(result.rows, RowFormat::kAligned, std::cout);
-  for (const std::size_t i : result->quarantined()) {
-    std::cerr << "quarantined: cell " << i << " (" << label(i) << ") after "
-              << result->cells[i].attempts << " attempt(s): "
-              << result->cells[i].status.to_string() << "\n";
-  }
-  return result.ok() ? 0 : fail(result.status);
-}
-
-/// Translate --on-error / --retries / --cell-timeout / --resume into sweep
-/// RunOptions. The journal (when --resume is given) is owned by the caller
-/// so it outlives the run.
-exper::RunOptions sweep_options(const ArgParser& args,
-                                exper::CheckpointJournal* journal) {
+/// score's --on-error / --retries / --cell-timeout as the in-process
+/// executor's RunOptions. sweep and flows --sweep always quarantine a failed
+/// cell and run the rest, as the sharded executor does.
+exper::RunOptions score_run_options(const ArgParser& args) {
   exper::RunOptions opts;
   const std::string policy = args.get_string("on-error");
   if (policy == "abort") {
@@ -201,19 +175,7 @@ exper::RunOptions sweep_options(const ArgParser& args,
   }
   opts.max_attempts = 1 + static_cast<int>(args.get_int("retries"));
   opts.cell_timeout_seconds = args.get_double("cell-timeout");
-  opts.journal = journal;
   return opts;
-}
-
-core::Method parse_method(const std::string& name) {
-  if (name == "systematic") return core::Method::kSystematicCount;
-  if (name == "stratified") return core::Method::kStratifiedCount;
-  if (name == "random") return core::Method::kSimpleRandom;
-  if (name == "timer-systematic") return core::Method::kSystematicTimer;
-  if (name == "timer-stratified") return core::Method::kStratifiedTimer;
-  throw std::invalid_argument(
-      "unknown method '" + name +
-      "' (systematic|stratified|random|timer-systematic|timer-stratified)");
 }
 
 int cmd_generate(ArgParser& args) {
@@ -269,7 +231,7 @@ int cmd_sample(ArgParser& args) {
   exper::Experiment ex(std::move(*t));
 
   core::SamplerSpec spec;
-  spec.method = parse_method(args.get_string("method"));
+  spec.method = shard::parse_method_token(args.get_string("method"));
   spec.granularity = static_cast<std::uint64_t>(args.get_int("k"));
   spec.population = ex.population_size();
   spec.mean_interarrival_usec = ex.mean_interarrival_usec();
@@ -290,73 +252,6 @@ int cmd_sample(ArgParser& args) {
   return 0;
 }
 
-int cmd_score(ArgParser& args, const tools::CommonOptions& common) {
-  auto t = load(args.positionals().at(0), args);
-  if (!t) return fail(t.status());
-  exper::Experiment ex(std::move(*t));
-
-  exper::CellConfig cfg;
-  cfg.method = parse_method(args.get_string("method"));
-  cfg.granularity = static_cast<std::uint64_t>(args.get_int("k"));
-  cfg.interval = ex.full();
-  cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
-  cfg.replications = static_cast<int>(args.get_int("reps"));
-  cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  cfg.cache = &ex.binned_cache();
-
-  const std::string which = args.get_string("target");
-
-  // Proportion-based (Section 8) targets score through the categorical
-  // machinery; "both" / "size" / "iat" use the paper's histogram targets.
-  if (which == "ports" || which == "protocols" || which == "netmatrix") {
-    const auto key_fn = which == "ports"       ? core::service_port_key()
-                        : which == "protocols" ? core::protocol_key()
-                                               : core::network_pair_key();
-    const core::CategoricalTarget target(which, key_fn, cfg.interval);
-    TextTable table({"replication", "phi", "chi2 sig", "coverage %"});
-    for (int r = 0; r < cfg.replications; ++r) {
-      auto sampler = core::make_sampler(exper::replication_spec(cfg, r));
-      const auto sample = core::draw(cfg.interval, *sampler);
-      const auto counts = target.sample_counts(sample);
-      const auto m =
-          core::score_counts(counts, target.population_counts(),
-                             1.0 / static_cast<double>(cfg.granularity));
-      table.add_row({std::to_string(r), fmt_double(m.phi, 4),
-                     fmt_double(m.significance, 4),
-                     fmt_double(100.0 * target.coverage(counts), 1)});
-    }
-    std::cout << which << ": " << target.category_count()
-              << " categories in the population\n";
-    table.print(std::cout);
-    return 0;
-  }
-
-  // The histogram targets are independent grid cells; fan them out over the
-  // parallel runner. Seeds derive from cell coordinates, so the scores are
-  // identical at every --jobs level.
-  std::vector<exper::GridTask> tasks;
-  for (auto target :
-       {core::Target::kPacketSize, core::Target::kInterarrivalTime}) {
-    if (which == "size" && target != core::Target::kPacketSize) continue;
-    if (which == "iat" && target != core::Target::kInterarrivalTime) continue;
-    cfg.target = target;
-    tasks.push_back({cfg, 0});
-  }
-  exper::RunOptions ropts = sweep_options(args, nullptr);
-  exper::CheckpointJournal journal;
-  auto resumed = open_resume_journal(args, std::cout, journal);
-  if (!resumed) return fail(resumed.status());
-  ropts.journal = *resumed;
-
-  exper::ParallelRunner runner(common.jobs);
-  // The unified presentation path: RunReport -> Result<T> -> emit. The same
-  // rows render as CSV/JSON lines for any machine consumer of the facade.
-  return emit_run(as_result(runner.run(tasks, cfg.base_seed, ropts)),
-                  [&](std::size_t i) {
-                    return core::target_name(tasks[i].config.target);
-                  });
-}
-
 int cmd_impair(ArgParser& args) {
   const bool csv = args.get_bool("csv");
   // In CSV mode stdout carries nothing but the header and data rows; the
@@ -365,7 +260,7 @@ int cmd_impair(ArgParser& args) {
   auto loaded = load(args.positionals().at(0), args, info);
   if (!loaded) return fail(loaded.status());
   const trace::Trace clean = std::move(*loaded);
-  const auto method = parse_method(args.get_string("method"));
+  const auto method = shard::parse_method_token(args.get_string("method"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   // Which faults to sweep.
@@ -465,7 +360,7 @@ int cmd_impair(ArgParser& args) {
 /// bad combination is kInvalidArgument (exit 64) before any capture opens.
 SessionSpec session_spec_from_args(const ArgParser& args) {
   SessionSpec spec;
-  spec.method = parse_method(args.get_string("method"));
+  spec.method = shard::parse_method_token(args.get_string("method"));
   spec.granularity = static_cast<std::uint64_t>(args.get_int("k"));
   spec.replications = static_cast<int>(args.get_int("reps"));
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
@@ -677,21 +572,24 @@ int cmd_loadgen(ArgParser& args) {
   return 0;
 }
 
-/// `netsample flows` without --sweep: assemble every flow and print the top
-/// talkers (the original behavior of the subcommand).
+/// `netsample flows` without --sweep: assemble every flow through an
+/// uncapped flow table and print the top talkers. Ties keep the table's
+/// deterministic record order: expiry batch, then first_seen, then 5-tuple.
 int flow_top_talkers(ArgParser& args) {
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
-  trace::FlowTable table(MicroDuration::from_seconds(args.get_double("timeout")));
-  table.run(t->view());
-  const auto s = table.stats();
+  flow::SampledFlowTable table(
+      MicroDuration::from_seconds(args.get_double("timeout")), 0);
+  for (const auto& p : t->view()) table.offer(p);
+  table.flush();
+  const auto s = trace::flow_stats(table.records());
   std::cout << fmt_count(s.flows) << " flows, " << fmt_count(s.packets)
             << " packets, " << fmt_count(s.bytes) << " bytes; mean "
             << fmt_double(s.mean_flow_packets, 2) << " pkts/flow\n\n";
 
   TextTable top({"src", "dst", "proto", "dport", "packets", "bytes", "sec"});
-  for (const auto& f :
-       table.top_by_packets(static_cast<std::size_t>(args.get_int("top")))) {
+  for (const auto& f : trace::top_by_packets(
+           table.records(), static_cast<std::size_t>(args.get_int("top")))) {
     top.add_row({f.key.src.to_string(), f.key.dst.to_string(),
                  net::ip_proto_name(f.key.protocol),
                  std::to_string(f.key.dst_port), fmt_count(f.packets),
@@ -798,9 +696,9 @@ void apply_methods_flag(const ArgParser& args, shard::SweepSpec* spec) {
   }
 }
 
-/// The sweep grid requested on the command line: the full paper grid pruned
-/// by --target / --methods / --grid-k.
-shard::SweepSpec sweep_spec_from_args(const ArgParser& args) {
+/// The packet-target grid of `score` and `sweep`: the full paper grid with
+/// --seed, --reps and --target applied.
+shard::SweepSpec packet_spec_from_args(const ArgParser& args) {
   shard::SweepSpec spec = shard::default_sweep_spec();
   spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
   spec.replications = static_cast<int>(args.get_int("reps"));
@@ -810,11 +708,10 @@ shard::SweepSpec sweep_spec_from_args(const ArgParser& args) {
   } else if (which == "iat") {
     spec.targets = {core::Target::kInterarrivalTime};
   } else if (which != "both") {
-    throw std::invalid_argument("sweep --target must be both|size|iat");
+    throw std::invalid_argument("unknown --target '" + which +
+                                "' (both|size|iat; score also takes "
+                                "ports|protocols|netmatrix)");
   }
-  apply_methods_flag(args, &spec);
-  const std::string ks = args.get_string("grid-k");
-  if (ks != "ladder") spec.granularities = parse_k_list(ks);
   return spec;
 }
 
@@ -866,6 +763,23 @@ std::string self_exe(const char* argv0) {
   return argv0;
 }
 
+/// A fault-drill count flag: N > 0 arms the drill after N cells, 0 leaves
+/// it off (-1).
+int drill_flag(const ArgParser& args, const std::string& name) {
+  const int n = tools::checked_count("--" + name, args.get_string(name),
+                                     1000000000);
+  return n > 0 ? n : -1;
+}
+
+/// --netfault, validated here so a typo is a usage error, not a kInternal
+/// after every worker dies trying to parse it; "" when absent.
+std::string netfault_flag(const ArgParser& args) {
+  if (!args.has("netfault")) return {};
+  auto nf = faultsim::parse_netfault_spec(args.get_string("netfault"));
+  if (!nf.has_value()) throw StatusError(nf.status());
+  return args.get_string("netfault");
+}
+
 /// The validated sharding vocabulary, read up front so a malformed flag is
 /// a usage error (64) before any capture is parsed or store written. Throws
 /// std::invalid_argument / StatusError on malformed flags — both map to
@@ -874,14 +788,10 @@ shard::CoordinatorOptions shard_flags_from_args(const ArgParser& args) {
   shard::CoordinatorOptions f;
   f.workers =
       tools::checked_count("--workers", args.get_string("workers"), 4096);
-  const int chaos = tools::checked_count(
-      "--chaos-kill-after", args.get_string("chaos-kill-after"), 1000000000);
-  f.chaos_kill_after = chaos > 0 ? chaos : -1;
+  f.chaos_kill_after = drill_flag(args, "chaos-kill-after");
   f.max_respawns = tools::checked_count(
       "--max-respawns", args.get_string("max-respawns"), 1000000000);
-  const int depart = tools::checked_count(
-      "--depart-after", args.get_string("depart-after"), 1000000000);
-  f.first_worker_depart_after = depart > 0 ? depart : -1;
+  f.first_worker_depart_after = drill_flag(args, "depart-after");
   f.heartbeat_interval_s = tools::checked_seconds(
       "--heartbeat-interval", args.get_string("heartbeat-interval"), 3600.0);
   f.lease_timeout_s = tools::checked_seconds(
@@ -899,182 +809,212 @@ shard::CoordinatorOptions shard_flags_from_args(const ArgParser& args) {
     auto hp = shard::parse_host_port(f.listen);
     if (!hp.has_value()) throw StatusError(hp.status());
   }
-  if (args.has("netfault")) {
-    f.netfault = args.get_string("netfault");
-    // Validate the schedule coordinator-side so a typo is a usage error
-    // here, not a kInternal after W workers die trying to parse it.
-    auto nf = faultsim::parse_netfault_spec(f.netfault);
-    if (!nf.has_value()) throw StatusError(nf.status());
-  }
+  f.netfault = netfault_flag(args);
   return f;
 }
 
-/// Run `spec` sharded over copts.workers processes and re-dress the shard
-/// outcomes as an exper::RunReport so the table renders through the exact
-/// same code path as the in-process run (byte-identical output). Throws
-/// StatusError on store/coordinator failure. Scheduling facts (store reuse,
-/// leases, respawns) go to stderr so stdout stays byte-diffable across
-/// worker counts.
-exper::RunReport run_sharded_report(const shard::SweepSpec& spec,
-                                    const std::vector<exper::GridTask>& grid,
-                                    exper::Experiment& ex,
-                                    shard::CoordinatorOptions copts,
-                                    const ArgParser& args,
-                                    const char* argv0,
-                                    exper::CheckpointJournal* journal) {
-  const std::string store_path = args.has("store")
-                                     ? args.get_string("store")
-                                     : args.positionals().at(0) + ".nstore";
-  shard::StoreBackend& backend =
-      shard::store_backend(args.get_string("store-backend"));
-  // Amortization: a valid store for this population is reused as-is; the
-  // trace is re-binned and re-serialized only when none exists yet.
-  bool wrote_store = false;
-  {
-    auto existing = shard::TraceStore::open(store_path, backend);
-    if (!existing.has_value() ||
-        existing->packet_count() != ex.population_size()) {
-      const double mean_size =
-          trace::summarize_population(ex.full()).packet_size.mean;
-      const Status st = shard::write_trace_store(
-          store_path, ex.binned_cache(), ex.mean_interarrival_usec(),
-          mean_size);
-      if (!st.is_ok()) throw StatusError(st);
-      wrote_store = true;
-    }
-  }
-  std::cerr << "store: " << (wrote_store ? "wrote " : "reusing ") << store_path
-            << "\n";
-
-  copts.store_path = store_path;
-  copts.backend = args.get_string("store-backend");
-  copts.journal = journal;
-  copts.worker_command = {self_exe(argv0), "worker"};
-
-  auto sharded = shard::run_sharded_sweep(spec, copts);
-  if (wrote_store && !args.get_bool("keep-store")) {
-    (void)std::remove(store_path.c_str());
-  }
-  if (!sharded.has_value()) throw StatusError(sharded.status());
-
-  std::cerr << "workers: " << sharded->workers_spawned << " spawned, "
-            << sharded->leases_granted << " leases, "
-            << sharded->reassignments << " reassigned, "
-            << sharded->workers_departed << " departed, "
-            << sharded->leases_expired << " expired, " << sharded->reconnects
-            << " reconnects, " << sharded->workers_died
-            << " died; worker cache builds " << sharded->worker_cache_builds
-            << ", maps " << sharded->worker_cache_maps << "\n";
-
-  exper::RunReport rr;
-  rr.cells.resize(sharded->cells.size());
-  for (std::size_t i = 0; i < sharded->cells.size(); ++i) {
-    auto& cell = rr.cells[i];
-    auto& from = sharded->cells[i];
-    cell.status = from.status;
-    cell.from_journal = from.from_journal;
-    cell.attempts = from.from_journal ? 0 : 1;
-    cell.result.config = shard::derived_cell_config(grid[i], spec.base_seed);
-    cell.result.replications = std::move(from.replications);
-  }
-  return rr;
-}
-
-/// `netsample sweep` — the whole method x granularity grid over one capture.
-/// --workers 0 (default) runs in-process on ParallelRunner threads (--jobs);
-/// --workers N shards the grid over N processes that mmap a shared
-/// TraceStore. Both paths print bit-identical tables and write bit-identical
-/// journals: seeds derive from grid coordinates, never from scheduling.
-int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
-              const char* argv0) {
-  const shard::CoordinatorOptions flags = shard_flags_from_args(args);
-
-  auto t = load(args.positionals().at(0), args);
-  if (!t) return fail(t.status());
-  exper::Experiment ex(std::move(*t));
-
-  const shard::SweepSpec spec = sweep_spec_from_args(args);
-
+/// The one grid run behind `score`, `sweep` and `flows --sweep`: build
+/// `spec`'s grid over the capture, open the --resume journal (banner on
+/// `info`), run every cell and print the table. Cells run on ParallelRunner
+/// threads (--jobs) under `ropts`, or with --workers N on N worker
+/// processes that map one shared TraceStore; the sharded executor always
+/// quarantines a failed cell and runs the rest. Seeds and journal keys
+/// derive from grid coordinates, never from scheduling, so both executors
+/// print the same table and write the same journal. Scheduling facts (store
+/// reuse, leases, respawns) go to stderr. Throws StatusError on a store or
+/// coordinator failure.
+int run_grid(const shard::SweepSpec& spec, exper::Experiment& ex,
+             exper::RunOptions ropts, shard::CoordinatorOptions copts,
+             const ArgParser& args, int jobs, const char* argv0,
+             std::ostream& info) {
   exper::CheckpointJournal journal;
-  auto resumed = open_resume_journal(args, std::cout, journal);
-  if (!resumed) return fail(resumed.status());
-
+  exper::CheckpointJournal* resumed = nullptr;
+  if (args.has("resume")) {
+    auto opened = exper::CheckpointJournal::open(args.get_string("resume"));
+    if (!opened) return fail(opened.status());
+    journal = std::move(*opened);
+    resumed = &journal;
+    info << "journal " << journal.path() << ": " << journal.size()
+         << " cells already complete";
+    if (journal.dropped_lines() > 0) {
+      info << " (" << journal.dropped_lines() << " torn lines dropped)";
+    }
+    info << "\n";
+  }
   const auto grid = shard::build_grid(spec, ex.full(),
                                       ex.mean_interarrival_usec(),
                                       &ex.binned_cache());
 
   exper::RunReport rr;
-  if (flags.workers == 0) {
-    // In-process path: ParallelRunner with kSkip matches the coordinator's
-    // quarantine-and-continue semantics.
-    exper::RunOptions ropts;
-    ropts.on_error = exper::FailPolicy::kSkip;
-    ropts.journal = *resumed;
-    exper::ParallelRunner runner(common.jobs);
-    rr = runner.run(grid, spec.base_seed, ropts);
+  if (copts.workers == 0) {
+    ropts.journal = resumed;
+    exper::ParallelRunner runner(jobs);
+    rr = runner.run(grid, spec.base_seed, shard::grid_run_options(spec, ropts));
   } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resumed);
+    copts.store_path = args.has("store")
+                           ? args.get_string("store")
+                           : args.positionals().at(0) + ".nstore";
+    copts.backend = args.get_string("store-backend");
+    copts.journal = resumed;
+    copts.worker_command = {self_exe(argv0), "worker"};
+    // Amortization: a valid store for this population is reused as-is; the
+    // trace is re-binned and re-serialized only when none exists yet.
+    bool wrote_store = false;
+    {
+      shard::StoreBackend& backend = shard::store_backend(copts.backend);
+      auto existing = shard::TraceStore::open(copts.store_path, backend);
+      if (!existing.has_value() ||
+          existing->packet_count() != ex.population_size()) {
+        const double mean_size =
+            trace::summarize_population(ex.full()).packet_size.mean;
+        const Status st = shard::write_trace_store(
+            copts.store_path, ex.binned_cache(), ex.mean_interarrival_usec(),
+            mean_size);
+        if (!st.is_ok()) throw StatusError(st);
+        wrote_store = true;
+      }
+    }
+    std::cerr << "store: " << (wrote_store ? "wrote " : "reusing ")
+              << copts.store_path << "\n";
+
+    auto sharded = shard::run_sharded_sweep(spec, copts);
+    if (wrote_store && !args.get_bool("keep-store")) {
+      (void)std::remove(copts.store_path.c_str());
+    }
+    if (!sharded.has_value()) throw StatusError(sharded.status());
+    std::cerr << "workers: " << sharded->workers_spawned << " spawned, "
+              << sharded->leases_granted << " leases, "
+              << sharded->reassignments << " reassigned, "
+              << sharded->workers_departed << " departed, "
+              << sharded->leases_expired << " expired, " << sharded->reconnects
+              << " reconnects, " << sharded->workers_died
+              << " died; worker cache builds " << sharded->worker_cache_builds
+              << ", maps " << sharded->worker_cache_maps << "\n";
+
+    // Re-dress the shard outcomes as the RunReport the in-process executor
+    // returns, so the table renders through the same code.
+    rr.cells.resize(sharded->cells.size());
+    for (std::size_t i = 0; i < sharded->cells.size(); ++i) {
+      auto& cell = rr.cells[i];
+      auto& from = sharded->cells[i];
+      cell.status = from.status;
+      cell.from_journal = from.from_journal;
+      cell.attempts = from.from_journal ? 0 : 1;
+      cell.result.config = shard::derived_cell_config(grid[i], spec.base_seed);
+      cell.result.replications = std::move(from.replications);
+    }
   }
 
-  return emit_run(as_result(std::move(rr)), [&](std::size_t i) {
-    return core::target_name(grid[i].config.target);
-  });
+  // The table on stdout; each quarantined cell on stderr.
+  const bool flows = spec.workload == shard::Workload::kFlow;
+  const auto result =
+      flows ? as_flow_result(std::move(rr), spec) : as_result(std::move(rr));
+  emit(result.rows, RowFormat::kAligned, std::cout);
+  for (const std::size_t i : result->quarantined()) {
+    std::cerr << "quarantined: cell " << i << " ("
+              << (flows ? flow::estimator_name(shard::grid_estimator(spec, i))
+                        : core::target_name(grid[i].config.target))
+              << ") after " << result->cells[i].attempts << " attempt(s): "
+              << result->cells[i].status.to_string() << "\n";
+  }
+  return result.ok() ? 0 : fail(result.status);
+}
+
+int cmd_score(ArgParser& args, const tools::CommonOptions& common,
+              const char* argv0) {
+  const shard::CoordinatorOptions flags = shard_flags_from_args(args);
+  auto t = load(args.positionals().at(0), args);
+  if (!t) return fail(t.status());
+  exper::Experiment ex(std::move(*t));
+
+  // Proportion-based (Section 8) targets score through the categorical
+  // machinery; "both" / "size" / "iat" use the paper's histogram targets.
+  const std::string which = args.get_string("target");
+  if (which == "ports" || which == "protocols" || which == "netmatrix") {
+    exper::CellConfig cfg;
+    cfg.method = shard::parse_method_token(args.get_string("method"));
+    cfg.granularity = static_cast<std::uint64_t>(args.get_int("k"));
+    cfg.interval = ex.full();
+    cfg.mean_interarrival_usec = ex.mean_interarrival_usec();
+    cfg.replications = static_cast<int>(args.get_int("reps"));
+    cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    const auto key_fn = which == "ports"       ? core::service_port_key()
+                        : which == "protocols" ? core::protocol_key()
+                                               : core::network_pair_key();
+    const core::CategoricalTarget target(which, key_fn, cfg.interval);
+    TextTable table({"replication", "phi", "chi2 sig", "coverage %"});
+    for (int r = 0; r < cfg.replications; ++r) {
+      auto sampler = core::make_sampler(exper::replication_spec(cfg, r));
+      const auto sample = core::draw(cfg.interval, *sampler);
+      const auto counts = target.sample_counts(sample);
+      const auto m =
+          core::score_counts(counts, target.population_counts(),
+                             1.0 / static_cast<double>(cfg.granularity));
+      table.add_row({std::to_string(r), fmt_double(m.phi, 4),
+                     fmt_double(m.significance, 4),
+                     fmt_double(100.0 * target.coverage(counts), 1)});
+    }
+    std::cout << which << ": " << target.category_count()
+              << " categories in the population\n";
+    table.print(std::cout);
+    return 0;
+  }
+
+  // The histogram targets are a one-method, one-k grid: the cells
+  // `sweep --methods M --grid-k K` runs, through the same executors.
+  shard::SweepSpec spec = packet_spec_from_args(args);
+  spec.methods = {shard::parse_method_token(args.get_string("method"))};
+  spec.granularities = {static_cast<std::uint64_t>(args.get_int("k"))};
+  return run_grid(spec, ex, score_run_options(args), flags, args, common.jobs,
+                  argv0, std::cout);
+}
+
+/// `netsample sweep` — the whole method x granularity grid over one capture,
+/// pruned by --target / --methods / --grid-k.
+int cmd_sweep(ArgParser& args, const tools::CommonOptions& common,
+              const char* argv0) {
+  const shard::CoordinatorOptions flags = shard_flags_from_args(args);
+  auto t = load(args.positionals().at(0), args);
+  if (!t) return fail(t.status());
+  exper::Experiment ex(std::move(*t));
+
+  shard::SweepSpec spec = packet_spec_from_args(args);
+  apply_methods_flag(args, &spec);
+  const std::string ks = args.get_string("grid-k");
+  if (ks != "ladder") spec.granularities = parse_k_list(ks);
+  exper::RunOptions quarantine;
+  quarantine.on_error = exper::FailPolicy::kSkip;
+  return run_grid(spec, ex, quarantine, flags, args, common.jobs, argv0,
+                  std::cout);
 }
 
 /// `netsample flows` — top talkers by default; with --sweep, the flow
 /// workload: estimators x methods x granularities cells that sample the
 /// capture, aggregate sampled flows under memory pressure (--flow-cap),
 /// invert the sampled flow-size distribution, and score the estimate
-/// against the interval's ground truth. Like `sweep`, --workers N shards
-/// the grid over processes and stdout stays byte-diffable across
-/// --jobs/--workers, and --resume replays journaled cells: flow tasks carry
-/// a per-estimator journal-key suffix (docs/FLOWS.md §4), so the two
+/// against the interval's ground truth. Flow tasks carry a per-estimator
+/// journal-key suffix (docs/FLOWS.md §4), so under --resume the two
 /// estimator blocks — identical CellConfigs by design — never alias.
 int cmd_flows(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
   if (!args.get_bool("sweep")) return flow_top_talkers(args);
   const shard::CoordinatorOptions flags = shard_flags_from_args(args);
-
-  // Banner on stderr, unlike sweep's: the flows table on stdout must stay
-  // byte-diffable between a resumed and an uninterrupted run.
-  exper::CheckpointJournal journal;
-  auto resumed = open_resume_journal(args, std::cerr, journal);
-  if (!resumed) return fail(resumed.status());
-
+  // The capture summary and journal banner go to stderr, unlike sweep's:
+  // the flows table on stdout must stay byte-diffable between a resumed
+  // and an uninterrupted run.
   auto t = load(args.positionals().at(0), args, std::cerr);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
 
-  const shard::SweepSpec spec = flow_spec_from_args(args);
-  const auto grid = shard::build_grid(spec, ex.full(),
-                                      ex.mean_interarrival_usec(),
-                                      &ex.binned_cache());
-
-  exper::RunReport rr;
-  if (flags.workers == 0) {
-    exper::RunOptions ropts;
-    ropts.on_error = exper::FailPolicy::kSkip;
-    ropts.journal = *resumed;
-    // The workload hook: identical to what sharded workers run per cell.
-    ropts.cell_runner = [&spec](const exper::CellConfig& cfg,
-                                std::size_t index) {
-      return flow::run_flow_cell(cfg, spec.flow,
-                                 shard::grid_estimator(spec, index));
-    };
-    exper::ParallelRunner runner(common.jobs);
-    rr = runner.run(grid, spec.base_seed, ropts);
-  } else {
-    rr = run_sharded_report(spec, grid, ex, flags, args, argv0, *resumed);
-  }
-
-  return emit_run(as_flow_result(std::move(rr), spec), [&](std::size_t i) {
-    return flow::estimator_name(shard::grid_estimator(spec, i));
-  });
+  exper::RunOptions quarantine;
+  quarantine.on_error = exper::FailPolicy::kSkip;
+  return run_grid(flow_spec_from_args(args), ex, quarantine, flags, args,
+                  common.jobs, argv0, std::cerr);
 }
 
-/// `netsample worker` — one sharded-sweep worker, speaking the lease
+/// `netsample worker` — one sharded-grid worker, speaking the lease
 /// protocol on stdin/stdout, or dialing a socket coordinator when --connect
-/// is given. Not meant for interactive use; `sweep --workers N` execs these.
+/// is given. Not meant for interactive use; `--workers N` runs exec these.
 int cmd_worker(ArgParser& args) {
   if (!args.has("store")) {
     std::cerr << "error: worker requires --store FILE\n";
@@ -1083,19 +1023,11 @@ int cmd_worker(ArgParser& args) {
   shard::WorkerOptions wopts;
   wopts.store_path = args.get_string("store");
   wopts.backend = args.get_string("store-backend");
-  const int die = tools::checked_count("--die-after",
-                                       args.get_string("die-after"), 1000000000);
-  wopts.die_after_cells = die > 0 ? die : -1;
-  const int depart = tools::checked_count(
-      "--depart-after", args.get_string("depart-after"), 1000000000);
-  wopts.depart_after_cells = depart > 0 ? depart : -1;
+  wopts.die_after_cells = drill_flag(args, "die-after");
+  wopts.depart_after_cells = drill_flag(args, "depart-after");
   wopts.connect_retries = tools::checked_count(
       "--connect-retries", args.get_string("connect-retries"), 1000);
-  if (args.has("netfault")) {
-    wopts.netfault = args.get_string("netfault");
-    auto nf = faultsim::parse_netfault_spec(wopts.netfault);
-    if (!nf.has_value()) return fail(nf.status());
-  }
+  wopts.netfault = netfault_flag(args);
   if (args.has("connect")) {
     wopts.connect = args.get_string("connect");
     auto hp = shard::parse_host_port(wopts.connect);
@@ -1173,12 +1105,15 @@ int main(int argc, char** argv) {
                 "skip corrupt records and resync instead of stopping at the "
                 "first bad header");
   args.add_flag("on-error", "P",
-                "score: cell failure policy abort|skip|retry", "abort");
+                "score: cell failure policy abort|skip|retry (in-process "
+                "executor only; --workers quarantines and continues)",
+                "abort");
   args.add_flag("retries", "N",
-                "score: extra attempts per failed cell under --on-error retry",
-                "2");
+                "score: extra attempts per failed cell under --on-error retry "
+                "(in-process executor only)", "2");
   args.add_flag("cell-timeout", "SEC",
-                "score: per-cell watchdog deadline, 0 = none", "0");
+                "score: per-cell watchdog deadline, 0 = none (in-process "
+                "executor only)", "0");
   args.add_flag("resume", "FILE",
                 "score/sweep/flows --sweep: checkpoint journal; completed "
                 "cells are replayed from it and new ones appended");
@@ -1241,7 +1176,8 @@ int main(int argc, char** argv) {
   // shared vocabulary (tools/cli_args.h) so the CLI and the figure binaries
   // cannot drift; the capture stays positional here, hence no --pcap.
   tools::add_common_flags(args, /*with_pcap=*/false);
-  // --workers / --store / --store-backend / ... likewise (sweep + worker).
+  // --workers / --store / --store-backend / ... likewise (grid runs +
+  // worker).
   tools::add_sweep_flags(args);
 
   const auto status = args.parse(rest);
@@ -1287,7 +1223,7 @@ int main(int argc, char** argv) {
       }
       if (cmd == "inspect") return cmd_inspect(args);
       if (cmd == "sample") return cmd_sample(args);
-      if (cmd == "score") return cmd_score(args, common);
+      if (cmd == "score") return cmd_score(args, common, argv[0]);
       if (cmd == "flows") return cmd_flows(args, common, argv[0]);
       if (cmd == "impair") return cmd_impair(args);
       if (cmd == "watch") return cmd_watch(args);
