@@ -295,6 +295,9 @@ RunReport ParallelRunner::run(const std::vector<GridTask>& tasks,
       out.from_journal = true;
     } else {
       out = pool_ ? futures[i].get() : run_one(configs[i], i);
+      // A quarantined cell still says which cell it was, as the sharded
+      // executor's rows do.
+      if (!out.status.is_ok()) out.result.config = configs[i];
       if (out.status.is_ok() && opts.journal != nullptr) {
         // A checkpoint write failure does not invalidate the computed cell;
         // it only costs re-execution on a future resume.

@@ -64,8 +64,8 @@ void SampledFlowTable::offer(const trace::PacketRecord& p) {
 }
 
 void SampledFlowTable::expire_idle(MicroTime now) {
-  // Same amortization as trace::FlowTable: idle flows only need noticing
-  // within a quarter timeout of expiry.
+  // Amortized: idle flows only need noticing within a quarter timeout of
+  // expiry.
   if (checked_expiry_ &&
       now - last_expiry_check_ < MicroDuration{idle_timeout_.usec / 4 + 1}) {
     return;

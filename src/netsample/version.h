@@ -4,12 +4,13 @@
 // stepping by 100 per minor release (v1.1 = 1100). MAJOR bumps on breaking
 // changes to the supported surface, MINOR on additions. Deprecated entry
 // points survive exactly one MINOR release after their replacement ships
-// (docs/API.md, "Deprecation policy") — v1.2 deprecates trace::FlowTable
-// for flow::SampledFlowTable; the next release removes it.
+// (docs/API.md, "Deprecation policy") — v1.3 removes the trace flow table
+// deprecated in v1.2 and deprecates serve::ServeOptions::stop_check for
+// Server::request_stop(); v1.4 removes it.
 #pragma once
 
 #define NETSAMPLE_API_VERSION_MAJOR 1
-#define NETSAMPLE_API_VERSION_MINOR 200
+#define NETSAMPLE_API_VERSION_MINOR 300
 #define NETSAMPLE_API_VERSION \
   (NETSAMPLE_API_VERSION_MAJOR * 1000 + NETSAMPLE_API_VERSION_MINOR)
 
@@ -17,6 +18,6 @@ namespace netsample {
 
 inline constexpr int kApiVersionMajor = NETSAMPLE_API_VERSION_MAJOR;
 inline constexpr int kApiVersionMinor = NETSAMPLE_API_VERSION_MINOR;
-inline constexpr char kApiVersionString[] = "1.2";
+inline constexpr char kApiVersionString[] = "1.3";
 
 }  // namespace netsample

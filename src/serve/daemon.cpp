@@ -1,16 +1,16 @@
 #include "serve/serve.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -24,12 +24,19 @@
 #include "stream/ring.h"
 #include "trace/packet_record.h"
 #include "util/cancel.h"
+#include "util/event_loop.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace netsample::serve {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// How long a FEED may wait for ring room before its session is shed as
+/// `ring-full`: a lane pool that pops nothing for this long is stuck.
+constexpr auto kParkLimit = std::chrono::seconds(5);
 
 std::int64_t chunk_bytes(std::size_t packets) {
   return static_cast<std::int64_t>(packets * sizeof(trace::PacketRecord));
@@ -45,7 +52,7 @@ struct TenantState {
   std::atomic<std::int64_t> queued_bytes{0};
   double tokens{0};
   bool bucket_primed{false};
-  std::chrono::steady_clock::time_point last_refill{};
+  Clock::time_point last_refill{};
 };
 
 struct ClientState {
@@ -59,6 +66,14 @@ struct ClientState {
   /// and CLOSEs for them are dropped instead of ERROR'd. Protocol thread.
   std::unordered_set<std::string> tombstones;
   bool closed{false};
+
+  // Protocol thread only. A FEED that meets a full ring parks its client:
+  // the FEED and the lines read after it wait in `backlog`, and the fd
+  // leaves the loop, so TCP flow control pushes back on this client alone.
+  std::shared_ptr<struct Session> parked;
+  std::chrono::steady_clock::time_point parked_at{};
+  std::deque<std::string> backlog;
+  bool watched{false};  // the fd is registered with the loop
 
   void send(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mu);
@@ -79,6 +94,10 @@ struct Session {
   stream::Engine engine;
 
   MicroTime last_ts{};  // FEED clamp state; protocol thread only
+
+  /// Set while a FEED waits for ring room: the lane that pops from the
+  /// ring wakes the protocol thread.
+  std::atomic<bool> parked{false};
 
   /// Exclusive drain claim: whoever flips false->true owns the session's
   /// engine until it stores false (or the session terminates).
@@ -105,6 +124,10 @@ struct Session {
   [[nodiscard]] bool shed_claimed() const {
     return shed_reason.load(std::memory_order_acquire) != nullptr;
   }
+  /// Neither finished nor claimed by a shed.
+  [[nodiscard]] bool live() const {
+    return !done.load(std::memory_order_acquire) && !shed_claimed();
+  }
   [[nodiscard]] bool claim_shed(const char* reason) {
     const char* expected = nullptr;
     return shed_reason.compare_exchange_strong(expected, reason,
@@ -114,8 +137,7 @@ struct Session {
 
 struct Server::Impl {
   ServeOptions options;
-  shard::Listener listener;
-  bool has_listener{false};
+  shard::Listener listener;  // fd() < 0: none, or closed by the drain
   bool started{false};
   bool draining{false};
   std::atomic<bool> stop_flag{false};
@@ -149,6 +171,8 @@ struct Server::Impl {
       "netsample_serve_packets_total", obs::Determinism::kNondeterministic);
   obs::Counter& c_rows = obs::registry().counter(
       "netsample_serve_rows_total", obs::Determinism::kNondeterministic);
+
+  util::EventLoop loop;
 
   // Declared last so it is destroyed first: queued drain tasks reference
   // the members above and must finish before they go away.
@@ -186,21 +210,28 @@ struct Server::Impl {
     }
   }
 
-  /// Terminal shed: discard whatever is still queued, tell the client,
-  /// mark done. Runs on a pool lane holding the drain claim.
-  void shed_terminal(Session& s) {
+  /// Pop whatever the session still has queued and return its bytes to
+  /// the tenant.
+  static void discard_queued(Session& s) {
     while (s.ring.size() > 0) {
       auto chunk = s.ring.pop();
       if (!chunk) break;
       s.tenant->queued_bytes.fetch_sub(chunk_bytes(chunk->size()),
                                        std::memory_order_relaxed);
     }
+  }
+
+  /// Terminal shed: discard whatever is still queued, tell the client,
+  /// mark done. Runs on a pool lane holding the drain claim.
+  void shed_terminal(Session& s) {
+    discard_queued(s);
     const char* reason = s.shed_reason.load(std::memory_order_acquire);
     s.client->send(std::string("SHED ") + s.id + " " +
                    (reason != nullptr ? reason : "internal"));
     shed.fetch_add(1, std::memory_order_relaxed);
     c_shed.increment();
     s.done.store(true, std::memory_order_release);
+    loop.wake();
   }
 
   /// Clean finish: final score, final ROWS, CLOSED. Pool lane, claimed.
@@ -219,41 +250,36 @@ struct Server::Impl {
     closed_count.fetch_add(1, std::memory_order_relaxed);
     c_closed.increment();
     s.done.store(true, std::memory_order_release);
+    loop.wake();
   }
 
   /// The drain task: pop chunks, feed the engine, handle terminal
   /// transitions, release the claim only when there is truly nothing to do.
   void drain_session(const std::shared_ptr<Session>& s) {
     for (;;) {
-      if (s->shed_claimed()) {
-        shed_terminal(*s);
-        return;
-      }
+      // Every terminal failure claims a shed reason (the first claim wins;
+      // a shed requested elsewhere cancels the token) and ends below.
       try {
-        while (s->ring.size() > 0) {
+        while (!s->shed_claimed() && s->ring.size() > 0) {
           auto chunk = s->ring.pop();
           if (!chunk) break;
+          // The ring has room now. Pairs with the park in handle_feed:
+          // either this load sees the flag, or the protocol thread's room
+          // check sees this pop.
+          if (s->parked.load(std::memory_order_acquire)) loop.wake();
           s->tenant->queued_bytes.fetch_sub(chunk_bytes(chunk->size()),
                                             std::memory_order_relaxed);
-          if (s->cancel.deadline_exceeded()) {
-            (void)s->claim_shed("deadline");
-            shed_terminal(*s);
-            return;
-          }
+          s->cancel.throw_if_stopped();
           s->engine.feed(*chunk);
-          if (s->shed_claimed()) {
-            shed_terminal(*s);
-            return;
-          }
         }
       } catch (const StatusError& e) {
         (void)s->claim_shed(e.status().code() == StatusCode::kDeadlineExceeded
                                 ? "deadline"
                                 : "cancelled");
-        shed_terminal(*s);
-        return;
       } catch (const std::exception&) {
         (void)s->claim_shed("input-error");
+      }
+      if (s->shed_claimed()) {
         shed_terminal(*s);
         return;
       }
@@ -281,8 +307,7 @@ struct Server::Impl {
     if (s->done.load(std::memory_order_acquire)) return;
     if (s->scheduled.exchange(true, std::memory_order_acq_rel)) return;
     try {
-      auto future = pool->submit([this, s] { drain_session(s); });
-      (void)future;
+      (void)pool->submit([this, s] { drain_session(s); });
     } catch (const std::runtime_error&) {
       s->scheduled.store(false, std::memory_order_release);
     }
@@ -293,6 +318,10 @@ struct Server::Impl {
     if (!s->claim_shed(reason)) return;
     s->cancel.cancel();  // unwedge a mid-feed engine promptly
     schedule(s);
+  }
+
+  void request_close(const std::shared_ptr<Session>& s) {
+    if (s->live() && !s->close_requested.exchange(true)) schedule(s);
   }
 
   void reject(ClientState& client, const std::string& id,
@@ -349,19 +378,37 @@ struct Server::Impl {
     client->send("OPENED " + id);
   }
 
+  /// The live-or-finishing session `id` names for `verb`. Null for an
+  /// unknown id (an ERROR) or a tombstoned one (a late line for a session
+  /// already finished or rejected, dropped silently).
+  std::shared_ptr<Session> find_session(ClientState& client,
+                                        const std::string& verb,
+                                        const std::string& id) {
+    const auto it = client.sessions.find(id);
+    if (it != client.sessions.end()) return it->second;
+    if (client.tombstones.count(id) == 0) {
+      client.send("ERROR " + verb + " unknown session " + id);
+    }
+    return nullptr;
+  }
+
   void handle_feed(const std::shared_ptr<ClientState>& client,
                    const std::string& id, const std::string& payload) {
-    const auto it = client->sessions.find(id);
-    if (it == client->sessions.end()) {
-      if (client->tombstones.count(id) == 0) {
-        client->send("ERROR FEED unknown session " + id);
-      }
-      return;  // tombstoned: late FEED to a finished/rejected session
-    }
-    const std::shared_ptr<Session>& s = it->second;
-    if (s->done.load(std::memory_order_acquire) || s->shed_claimed()) return;
+    const std::shared_ptr<Session> s = find_session(*client, "FEED", id);
+    if (s == nullptr || !s->live()) return;
     if (s->close_requested.load(std::memory_order_acquire)) {
       client->send("ERROR FEED after CLOSE " + id);
+      return;
+    }
+    if (s->ring.size() >= s->spec.ring_capacity) {
+      // Backpressure, not loss: park the client. This FEED is handled
+      // again, from the start, once a lane pops (sweep); only a
+      // lane pool that pops nothing for kParkLimit trips the terminal
+      // ring-full shed — which, like every shed, never touches another
+      // session's packet sequence.
+      client->parked = s;
+      client->parked_at = Clock::now();
+      s->parked.store(true, std::memory_order_release);
       return;
     }
     FeedChunk chunk;
@@ -371,7 +418,7 @@ struct Server::Impl {
     }
     TenantState& tenant = *s->tenant;
     if (tenant.budget.max_pps > 0) {
-      const auto now = std::chrono::steady_clock::now();
+      const auto now = Clock::now();
       if (!tenant.bucket_primed) {
         tenant.tokens = tenant.budget.max_pps;  // a full 1 s burst to start
         tenant.bucket_primed = true;
@@ -396,46 +443,21 @@ struct Server::Impl {
       return;
     }
     const std::uint64_t count = chunk.packets.size();
-    // A full ring with no budget breach is backpressure, not loss: the
-    // protocol thread is the ring's sole producer, so once size() drops
-    // below capacity this push cannot fail. Re-schedule the drain and wait
-    // (bounded); only a lane pool that cannot make progress at all trips
-    // the terminal ring-full shed — which, like every shed, never touches
-    // another session's packet sequence.
-    bool pushed = false;
-    for (int spin = 0; spin < 5000; ++spin) {
-      if (s->ring.size() < s->spec.ring_capacity) {
-        pushed = s->ring.try_push(std::move(chunk.packets));
-        break;
-      }
-      schedule(s);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      if (s->done.load(std::memory_order_acquire) || s->shed_claimed()) return;
-    }
-    if (!pushed) {
-      request_shed(s, "ring-full");
-      return;
-    }
+    // The protocol thread is the ring's sole producer and saw room above,
+    // so this push cannot fail.
+    (void)s->ring.try_push(std::move(chunk.packets));
     tenant.queued_bytes.fetch_add(bytes, std::memory_order_relaxed);
     s->packets.fetch_add(count, std::memory_order_relaxed);
     packets.fetch_add(count, std::memory_order_relaxed);
     c_packets.add(count);
     schedule(s);
+    // A session parked when the drain began is closed after this FEED.
+    if (draining) request_close(s);
   }
 
   void handle_close(const std::shared_ptr<ClientState>& client,
                     const std::string& id) {
-    const auto it = client->sessions.find(id);
-    if (it == client->sessions.end()) {
-      if (client->tombstones.count(id) == 0) {
-        client->send("ERROR CLOSE unknown session " + id);
-      }
-      return;  // tombstoned: the session already reached a terminal state
-    }
-    const std::shared_ptr<Session>& s = it->second;
-    if (s->done.load(std::memory_order_acquire) || s->shed_claimed()) return;
-    if (s->close_requested.exchange(true, std::memory_order_acq_rel)) return;
-    schedule(s);
+    if (const auto s = find_session(*client, "CLOSE", id)) request_close(s);
   }
 
   void handle_stats(ClientState& client) {
@@ -452,6 +474,7 @@ struct Server::Impl {
   void drop_client(const std::shared_ptr<ClientState>& client) {
     if (client->closed) return;
     client->closed = true;
+    watch(client, false);
     for (auto& [id, s] : client->sessions) request_shed(s, "disconnect");
     std::lock_guard<std::mutex> lock(client->write_mu);
     client->transport->close();
@@ -484,23 +507,37 @@ struct Server::Impl {
     }
   }
 
-  /// Retire finished sessions (protocol thread): reclaim any residual ring
-  /// bytes a racing FEED queued after the terminal drain, release the
-  /// tenant slot, tombstone the id. Then drop fully-departed clients.
-  void sweep() {
+  /// Once per turn (protocol thread): resume each parked client whose
+  /// session has ring room or has ended, and shed a session parked for
+  /// kParkLimit; retire finished sessions (reclaim any residual ring bytes
+  /// a racing FEED queued after the terminal drain, release the tenant
+  /// slot, tombstone the id); drop fully departed clients. Returns when a
+  /// still-parked client must be looked at again (none: nullopt).
+  std::optional<Clock::time_point> sweep() {
+    std::optional<Clock::time_point> next;
+    const auto now = Clock::now();
     for (auto& client : clients) {
+      while (client->parked) {
+        const std::shared_ptr<Session> s = client->parked;
+        if (s->live() && s->ring.size() >= s->spec.ring_capacity) {
+          const auto limit = client->parked_at + kParkLimit;
+          if (now < limit) {
+            if (!next.has_value() || limit < *next) next = limit;
+            break;
+          }
+          request_shed(s, "ring-full");
+        }
+        s->parked.store(false, std::memory_order_relaxed);
+        client->parked.reset();
+        handle_backlog(client);  // the parked FEED first
+      }
       for (auto it = client->sessions.begin(); it != client->sessions.end();) {
         Session& s = *it->second;
         if (!s.done.load(std::memory_order_acquire)) {
           ++it;
           continue;
         }
-        while (s.ring.size() > 0) {
-          auto chunk = s.ring.pop();
-          if (!chunk) break;
-          s.tenant->queued_bytes.fetch_sub(chunk_bytes(chunk->size()),
-                                           std::memory_order_relaxed);
-        }
+        discard_queued(s);
         --s.tenant->active_sessions;
         active_sessions.fetch_sub(1, std::memory_order_relaxed);
         client->tombstones.insert(it->first);
@@ -508,83 +545,86 @@ struct Server::Impl {
       }
     }
     std::erase_if(clients, [](const std::shared_ptr<ClientState>& c) {
-      return (c->closed || c->transport->is_closed()) && c->sessions.empty();
+      return c->closed && c->sessions.empty();
     });
     client_count.store(clients.size(), std::memory_order_relaxed);
+    return next;
   }
 
   void begin_drain() {
     draining = true;
-    if (has_listener) listener.close();
+    if (listener.fd() >= 0) {
+      loop.remove(listener.fd());
+      listener.close();
+    }
     for (auto& client : clients) {
       for (auto& [id, s] : client->sessions) {
-        if (s->done.load(std::memory_order_acquire) || s->shed_claimed()) {
-          continue;
-        }
-        if (!s->close_requested.exchange(true, std::memory_order_acq_rel)) {
-          schedule(s);
-        }
+        // A parked session is closed once its parked FEED is queued.
+        if (!s->parked.load(std::memory_order_relaxed)) request_close(s);
       }
     }
   }
 
+  // ---- the loop ----------------------------------------------------------
+
+  /// Read a client's fd only while it is neither parked nor behind on
+  /// lines it already sent.
+  void watch(const std::shared_ptr<ClientState>& client, bool on) {
+    if (client->watched == on) return;
+    client->watched = on;
+    const int fd = client->transport->poll_fd();
+    if (!on) {
+      loop.remove(fd);
+      return;
+    }
+    loop.add(fd, [this, client] {
+      std::vector<std::string> lines;
+      // A peer that closed has said BYE, after its last line.
+      if (client->transport->drain(&lines) == shard::ReadResult::kClosed) {
+        lines.emplace_back("BYE");
+      }
+      std::move(lines.begin(), lines.end(),
+                std::back_inserter(client->backlog));
+      handle_backlog(client);
+    });
+  }
+
+  void add_client(std::unique_ptr<shard::Transport> transport) {
+    auto client = std::make_shared<ClientState>();
+    client->transport = std::move(transport);
+    watch(client, true);
+    clients.push_back(std::move(client));
+    client_count.store(clients.size(), std::memory_order_relaxed);
+  }
+
+  /// Handle a client's lines in order until one parks it (that FEED stays
+  /// first in line).
+  void handle_backlog(const std::shared_ptr<ClientState>& client) {
+    while (!client->parked && !client->closed && !client->backlog.empty()) {
+      handle_line(client, client->backlog.front());
+      if (!client->parked) client->backlog.pop_front();
+    }
+    if (!client->closed) watch(client, !client->parked);
+  }
+
   void run() {
-    std::vector<pollfd> fds;
-    std::vector<std::shared_ptr<ClientState>> polled;
     for (;;) {
-      const bool stop_now =
-          stop_flag.load(std::memory_order_relaxed) ||
-          (options.stop_check && options.stop_check());
-      if (stop_now && !draining) begin_drain();
-      sweep();
+      if (!draining && (stop_flag.load() ||
+                        (options.stop_check && options.stop_check()))) {
+        begin_drain();
+      }
+      std::optional<Clock::time_point> deadline = sweep();
       if (draining) {
-        bool busy = false;
-        for (const auto& c : clients) busy = busy || !c->sessions.empty();
-        if (!busy) return;
-      } else if (!has_listener && clients.empty()) {
+        if (active_sessions.load() == 0) return;
+      } else if (listener.fd() < 0 && clients.empty()) {
         return;  // adopted-transport mode: last client departed
       }
-
-      fds.clear();
-      polled.clear();
-      if (has_listener && !draining) {
-        fds.push_back({listener.fd(), POLLIN, 0});
+      // Deprecated stop_check: polled every 20 ms until v1.4 removes it.
+      if (options.stop_check) {
+        const auto poll_at = Clock::now() + std::chrono::milliseconds(20);
+        if (!deadline.has_value() || poll_at < *deadline) deadline = poll_at;
       }
-      for (const auto& client : clients) {
-        if (client->closed || client->transport->is_closed()) continue;
-        fds.push_back({client->transport->poll_fd(), POLLIN, 0});
-        polled.push_back(client);
-      }
-      if (fds.empty()) {
-        (void)::poll(nullptr, 0, 2);  // drain tick: wait for lanes to finish
-        continue;
-      }
-      const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
-      if (ready <= 0) continue;  // timeout or EINTR: loop re-checks stop
-
-      std::size_t fd_index = 0;
-      if (has_listener && !draining) {
-        if ((fds[0].revents & POLLIN) != 0) {
-          while (auto transport = listener.accept_connection()) {
-            auto client = std::make_shared<ClientState>();
-            client->transport = std::move(transport);
-            clients.push_back(std::move(client));
-          }
-          client_count.store(clients.size(), std::memory_order_relaxed);
-        }
-        fd_index = 1;
-      }
-      std::vector<std::string> lines;
-      for (std::size_t i = 0; i < polled.size(); ++i, ++fd_index) {
-        if ((fds[fd_index].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-          continue;
-        }
-        const auto& client = polled[i];
-        lines.clear();
-        const shard::ReadResult r = client->transport->drain(&lines);
-        for (const auto& line : lines) handle_line(client, line);
-        if (r == shard::ReadResult::kClosed) drop_client(client);
-      }
+      (void)loop.wait(deadline);
     }
   }
 };
@@ -601,18 +641,21 @@ void Server::start() {
   auto listener = shard::Listener::open(impl_->options.listen);
   if (!listener.has_value()) throw StatusError(listener.status());
   impl_->listener = std::move(listener).value();
-  impl_->has_listener = true;
+  Impl* impl = impl_.get();
+  impl->loop.add(impl->listener.fd(), [impl] {
+    while (auto transport = impl->listener.accept_connection()) {
+      impl->add_client(std::move(transport));
+    }
+  });
 }
 
 std::string Server::address() const {
-  return impl_->has_listener ? impl_->listener.address() : std::string();
+  return impl_->listener.fd() >= 0 ? impl_->listener.address()
+                                    : std::string();
 }
 
 void Server::adopt_client(std::unique_ptr<shard::Transport> transport) {
-  auto client = std::make_shared<ClientState>();
-  client->transport = std::move(transport);
-  impl_->clients.push_back(std::move(client));
-  impl_->client_count.store(impl_->clients.size(), std::memory_order_relaxed);
+  impl_->add_client(std::move(transport));
 }
 
 void Server::run() {
@@ -621,7 +664,8 @@ void Server::run() {
 }
 
 void Server::request_stop() {
-  impl_->stop_flag.store(true, std::memory_order_relaxed);
+  impl_->stop_flag.store(true);
+  impl_->loop.wake();
 }
 
 ServeStats Server::stats() const {

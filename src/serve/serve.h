@@ -4,8 +4,11 @@
 // fixed pool of scoring lanes. The shape (docs/SERVING.md):
 //
 //   transports   shard::Transport connections (TCP via Listener, or any
-//                adopted fd pair — tests use socketpairs), polled by one
-//                protocol thread that never blocks on a session;
+//                adopted fd pair — tests use socketpairs), read by one
+//                protocol thread on a util::EventLoop. It never blocks on
+//                a session: a FEED that meets a full ring parks its
+//                connection (unread until a lane pops), so TCP flow
+//                control pushes back on that client alone;
 //   sessions     each owns a netsample::SessionSpec-configured
 //                stream::Engine plus a bounded SpscRing of packet chunks;
 //   scoring      a shared util::ThreadPool drains rings into engines.
@@ -53,8 +56,9 @@ struct ServeOptions {
   /// Budget for tenants without an explicit entry in `tenant_budgets`.
   TenantBudget default_budget{};
   std::map<std::string, TenantBudget> tenant_budgets{};
-  /// Polled each loop iteration; true requests a drain-and-stop (the CLI
-  /// wires the SIGTERM flag here). May be empty.
+  /// Deprecated in v1.3, removed in v1.4 (docs/API.md): call
+  /// Server::request_stop() instead, from any thread or a signal handler.
+  /// Polled every 20 ms while set; true requests a drain-and-stop.
   std::function<bool()> stop_check{};
 };
 
@@ -95,7 +99,9 @@ class Server {
   /// running without a listener — until the last client disconnects.
   void run();
 
-  /// Ask run() to drain and return. Thread-safe.
+  /// Ask run() to drain and return. Thread-safe and async-signal-safe
+  /// (an atomic store and an eventfd write), so a SIGTERM handler may
+  /// call it.
   void request_stop();
 
   [[nodiscard]] ServeStats stats() const;

@@ -1,6 +1,5 @@
 #include "shard/coordinator.h"
 
-#include <poll.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,6 +11,8 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "shard/store.h"
 #include "shard/transport.h"
 #include "shard/worker.h"
+#include "util/event_loop.h"
 
 namespace netsample::shard {
 
@@ -133,35 +135,34 @@ class Coordinator {
 
   /// Reap a spawned worker (blocking, or only if it has exited); true once
   /// it is gone.
-  static bool reap(Slot& s, bool block) {
+  bool reap(Slot& s, bool block) {
     int st = 0;
     const pid_t r = ::waitpid(s.pid, &st, block ? 0 : WNOHANG);
     // ECHILD: already reaped elsewhere; its pidfd would stay readable.
     if (!block && r != s.pid && !(r < 0 && errno == ECHILD)) return false;
     s.proc_alive = false;
     s.wait_status = st;
-    if (s.pidfd >= 0) ::close(s.pidfd);
+    if (s.pidfd >= 0) {
+      loop_.remove(s.pidfd);
+      ::close(s.pidfd);
+    }
     s.pidfd = -1;
     return true;
   }
 
-  /// Poll entries that wake the loop when a spawned worker exits, so a
-  /// death or a clean exit is reaped at once instead of on a timer. False
-  /// when some live worker has no pidfd (kernels before pidfd_open).
-  bool add_exit_fds(std::vector<pollfd>& fds, std::vector<int>& kinds,
-                    std::vector<std::size_t>& refs) const {
-    bool all = true;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].proc_alive) continue;
-      if (slots_[i].pidfd < 0) {
-        all = false;
-        continue;
-      }
-      fds.push_back(pollfd{slots_[i].pidfd, POLLIN, 0});
-      kinds.push_back(3);
-      refs.push_back(i);
-    }
-    return all;
+  /// Close a slot's wire and stop watching it.
+  void drop_chan(Slot& s) {
+    if (!s.chan) return;
+    loop_.remove(s.chan->poll_fd());
+    s.chan->close();
+    s.chan.reset();
+  }
+
+  std::list<PendingConn>::iterator close_pending(
+      std::list<PendingConn>::iterator it) {
+    loop_.remove(it->chan->poll_fd());
+    it->chan->close();
+    return pending_conns_.erase(it);
   }
 
   std::size_t capacity() const {
@@ -290,6 +291,9 @@ class Coordinator {
 #ifdef SYS_pidfd_open
     s.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
 #endif
+    // A pidfd turns readable when the worker exits; the wakeup alone is
+    // enough, since every turn of the loops reaps first.
+    if (s.pidfd >= 0) loop_.add(s.pidfd, [] {});
     ++report_.workers_spawned;
     first_spawn_done_ = true;
     // A drilled worker fires on the LEASE that follows its Nth cell, so it
@@ -306,7 +310,7 @@ class Coordinator {
     } else {
       ::close(c2w[0]);
       ::close(w2c[1]);
-      attach(s, make_fd_transport(w2c[0], c2w[1]));
+      attach(si, make_fd_transport(w2c[0], c2w[1]));
     }
     return true;
   }
@@ -314,13 +318,14 @@ class Coordinator {
   /// Bind a live wire to a slot: (re)send the SPEC — rebuilding the grid
   /// is idempotent — and top the worker up with leases. A reconnect to a
   /// slot that somehow still holds a wire drops the old one first.
-  void attach(Slot& s, std::unique_ptr<Transport> chan) {
+  void attach(std::size_t si, std::unique_ptr<Transport> chan) {
+    Slot& s = slots_[si];
     if (s.chan) {
-      s.chan->close();
-      s.chan.reset();
+      drop_chan(s);
       reclaim_leases(s);
     }
     s.chan = std::move(chan);
+    loop_.add(s.chan->poll_fd(), [this, si] { on_slot_readable(si); });
     s.awaiting = false;
     s.suspended = false;
     const auto t = Clock::now();
@@ -396,10 +401,7 @@ class Coordinator {
   /// reconnect window; its leases are reassigned NOW (someone else can
   /// run them; a duplicate result is discarded by cell state).
   void on_disconnect(Slot& s) {
-    if (s.chan) {
-      s.chan->close();
-      s.chan.reset();
-    }
+    drop_chan(s);
     reclaim_leases(s);
     if (socket_mode_ && !s.dead && (s.proc_alive || s.external)) {
       s.awaiting = true;
@@ -412,10 +414,7 @@ class Coordinator {
 
   void finalize_death(Slot& s, Departure kind) {
     if (s.dead) return;
-    if (s.chan) {
-      s.chan->close();
-      s.chan.reset();
-    }
+    drop_chan(s);
     reclaim_leases(s);
     if (s.proc_alive) {
       if (kind == Departure::kUnexpected) ::kill(s.pid, SIGKILL);
@@ -590,30 +589,70 @@ class Coordinator {
   /// the same packet) are fed to the bound slot.
   void bind_pending(std::unique_ptr<Transport> chan,
                     std::vector<std::string> lines) {
-    if (lines.empty()) return;  // nothing to bind with; conn stays pending
     Message hello;
     if (!parse_message(lines.front(), &hello) ||
         hello.type != MessageType::kHello) {
       chan->close();
       return;  // not a worker; drop the connection
     }
-    Slot* target = nullptr;
-    for (auto& s : slots_) {
-      if (!s.dead && s.pid == static_cast<pid_t>(hello.pid)) {
-        target = &s;
-        break;
-      }
+    const auto pid = static_cast<pid_t>(hello.pid);
+    std::size_t si = 0;
+    while (si < slots_.size() && (slots_[si].dead || slots_[si].pid != pid)) {
+      ++si;
     }
-    if (target == nullptr) {
+    if (si == slots_.size()) {
       slots_.push_back(Slot{});
-      target = &slots_.back();
-      target->pid = static_cast<pid_t>(hello.pid);
-      target->external = true;
+      slots_.back().pid = pid;
+      slots_.back().external = true;
     }
-    attach(*target, std::move(chan));
-    handle_message(*target, hello);
+    attach(si, std::move(chan));
+    handle_message(slots_[si], hello);
     lines.erase(lines.begin());
-    handle_slot_lines(*target, lines);
+    handle_slot_lines(slots_[si], lines);
+  }
+
+  // ---- readiness -------------------------------------------------------
+  // One callback per watched fd, in both the run loop and the shutdown
+  // drain; `stopping_` is what tells the two apart.
+
+  void on_accept() {
+    while (auto conn = listener_.accept_connection()) {
+      if (stopping_) {
+        // A straggler mid-redial: greet it with STOP so it exits.
+        (void)conn->write_line(stop_line());
+        conn->shutdown_write();
+      }
+      pending_conns_.push_back(
+          PendingConn{std::move(conn), Clock::now() + window_dur()});
+      const auto it = std::prev(pending_conns_.end());
+      loop_.add(it->chan->poll_fd(), [this, it] { on_pending_readable(it); });
+    }
+  }
+
+  void on_pending_readable(std::list<PendingConn>::iterator it) {
+    std::vector<std::string> lines;
+    const ReadResult r = it->chan->drain(&lines);
+    if (lines.empty() || stopping_) {
+      if (r == ReadResult::kClosed) close_pending(it);
+      return;
+    }
+    loop_.remove(it->chan->poll_fd());
+    std::unique_ptr<Transport> chan = std::move(it->chan);
+    pending_conns_.erase(it);
+    bind_pending(std::move(chan), std::move(lines));
+  }
+
+  void on_slot_readable(std::size_t si) {
+    Slot& s = slots_[si];
+    std::vector<std::string> lines;
+    const ReadResult r = s.chan->drain(&lines);
+    if (!stopping_) handle_slot_lines(s, lines);
+    if (r != ReadResult::kClosed || s.dead) return;
+    if (stopping_) {
+      drop_chan(s);
+    } else {
+      on_disconnect(s);
+    }
   }
 
   // ---- timers ----------------------------------------------------------
@@ -621,9 +660,9 @@ class Coordinator {
   Clock::duration window_dur() const { return secs(window_); }
 
   /// Fire every due timer (heartbeats, liveness, lease expiry, probation,
-  /// reconnect windows, handshake deadlines) and return the poll timeout
-  /// in ms until the next one (-1 = none pending).
-  int fire_timers() {
+  /// reconnect windows, handshake deadlines) and return the next one's
+  /// deadline (none pending: nullopt).
+  std::optional<Clock::time_point> fire_timers() {
     const auto t = Clock::now();
     std::optional<Clock::time_point> next;
     const auto consider = [&](Clock::time_point d) {
@@ -713,8 +752,7 @@ class Coordinator {
 
     for (auto it = pending_conns_.begin(); it != pending_conns_.end();) {
       if (t >= it->deadline) {
-        it->chan->close();
-        it = pending_conns_.erase(it);
+        it = close_pending(it);
       } else {
         consider(it->deadline);
         ++it;
@@ -722,23 +760,22 @@ class Coordinator {
     }
 
     if (refill) refill_all();
-    if (!next.has_value()) return -1;
-    const double ms =
-        std::chrono::duration<double, std::milli>(*next - t).count();
-    if (ms <= 0) return 0;
-    return static_cast<int>(std::min(ms + 1.0, 60000.0));
+    return next;
   }
 
   // ---- shutdown --------------------------------------------------------
+
+  static std::string stop_line() {
+    Message stop;
+    stop.type = MessageType::kStop;
+    return format_message(stop);
+  }
 
   /// Orderly shutdown: STOP every connected worker, keep accepting and
   /// STOPping redialing stragglers, drain BYEs to EOF, reap everything —
   /// with a hard deadline after which survivors are SIGKILL'd.
   void shutdown_workers() {
-    Message stop;
-    stop.type = MessageType::kStop;
-    const std::string stop_line = format_message(stop);
-
+    stopping_ = true;
     // A worker still inside its reconnect window lost its wire mid-grid.
     // Whether that was a death is settled by how it exits, however fast the
     // survivors finished the grid meanwhile.
@@ -748,88 +785,33 @@ class Coordinator {
       lost[i] = s.awaiting && !s.dead && s.proc_alive;
       s.awaiting = false;
       if (connected(s)) {
-        (void)s.chan->write_line(stop_line);
+        (void)s.chan->write_line(stop_line());
         s.chan->shutdown_write();
       }
     }
     for (auto& pc : pending_conns_) {
-      (void)pc.chan->write_line(stop_line);
+      (void)pc.chan->write_line(stop_line());
       pc.chan->shutdown_write();
     }
 
     const auto deadline = Clock::now() + std::chrono::seconds(10);
     while (Clock::now() < deadline) {
-      for (auto& s : slots_) {
-        if (s.proc_alive) reap(s, false);
-      }
       bool any_proc = false;
-      for (const auto& s : slots_) any_proc = any_proc || s.proc_alive;
+      bool any_without_pidfd = false;
+      for (auto& s : slots_) {
+        if (!s.proc_alive || reap(s, false)) continue;
+        any_proc = true;
+        any_without_pidfd = any_without_pidfd || s.pidfd < 0;
+      }
       if (!any_proc) break;
-
-      std::vector<pollfd> fds;
-      std::vector<int> kinds;  // 0 listener, 1 pending, 2 slot, 3 exit
-      std::vector<std::size_t> refs;
-      if (socket_mode_ && listener_.fd() >= 0) {
-        fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-        kinds.push_back(0);
-        refs.push_back(0);
-      }
-      for (std::size_t i = 0; i < pending_conns_.size(); ++i) {
-        fds.push_back(pollfd{pending_conns_[i].chan->poll_fd(), POLLIN, 0});
-        kinds.push_back(1);
-        refs.push_back(i);
-      }
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (connected(slots_[i])) {
-          fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
-          kinds.push_back(2);
-          refs.push_back(i);
-        }
-      }
       // Sleep until a wire speaks, a worker exits or the deadline passes;
-      // without pidfds, exits are only noticed on a short tick.
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - Clock::now())
-                            .count();
-      int timeout_ms = left > 0 ? static_cast<int>(left) + 1 : 0;
-      if (!add_exit_fds(fds, kinds, refs)) {
-        timeout_ms = std::min(timeout_ms, 50);
-      }
-      const int rc =
-          ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-      if (rc < 0 && errno != EINTR) break;
-
-      std::vector<std::size_t> dead_pending;
-      for (std::size_t f = 0; f < fds.size(); ++f) {
-        if (fds[f].revents == 0) continue;
-        if (kinds[f] == 0) {
-          // A straggler mid-redial: greet it with STOP so it exits.
-          while (auto conn = listener_.accept_connection()) {
-            (void)conn->write_line(stop_line);
-            conn->shutdown_write();
-            pending_conns_.push_back(PendingConn{
-                std::move(conn), Clock::now() + std::chrono::seconds(2)});
-          }
-        } else if (kinds[f] == 1) {
-          std::vector<std::string> lines;
-          if (pending_conns_[refs[f]].chan->drain(&lines) ==
-              ReadResult::kClosed) {
-            dead_pending.push_back(refs[f]);
-          }
-        } else if (kinds[f] == 2) {
-          Slot& s = slots_[refs[f]];
-          std::vector<std::string> lines;
-          if (s.chan->drain(&lines) == ReadResult::kClosed) {
-            s.chan->close();
-            s.chan.reset();
-          }
-        }
-      }
-      std::sort(dead_pending.rbegin(), dead_pending.rend());
-      for (const std::size_t i : dead_pending) {
-        pending_conns_.erase(pending_conns_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      }
+      // without pidfds (kernels before pidfd_open), exits are only noticed
+      // on a short tick.
+      const auto wake_at =
+          any_without_pidfd
+              ? std::min(deadline, Clock::now() + std::chrono::milliseconds(50))
+              : deadline;
+      if (!loop_.wait(wake_at)) break;
     }
 
     for (auto& s : slots_) {
@@ -837,13 +819,12 @@ class Coordinator {
         ::kill(s.pid, SIGKILL);
         reap(s, true);
       }
-      if (s.chan) {
-        s.chan->close();
-        s.chan.reset();
-      }
+      drop_chan(s);
     }
-    for (auto& pc : pending_conns_) pc.chan->close();
-    pending_conns_.clear();
+    for (auto it = pending_conns_.begin(); it != pending_conns_.end();) {
+      it = close_pending(it);
+    }
+    if (listener_.fd() >= 0) loop_.remove(listener_.fd());
     listener_.close();
     for (std::size_t i = 0; i < lost.size(); ++i) {
       const int st = slots_[i].wait_status;
@@ -873,7 +854,9 @@ class Coordinator {
   std::string listen_addr_;
   Listener listener_;
   std::vector<Slot> slots_;
-  std::vector<PendingConn> pending_conns_;
+  std::list<PendingConn> pending_conns_;
+  util::EventLoop loop_;
+  bool stopping_{false};  // shutdown_workers() has begun
   int respawns_left_{0};
   bool first_spawn_done_{false};
   bool stranded_{false};  // a death or departure left leases to recompute
@@ -947,6 +930,7 @@ StatusOr<ShardReport> Coordinator::run() {
     if (!listener.has_value()) return listener.status();
     listener_ = std::move(*listener);
     listen_addr_ = listener_.address();
+    loop_.add(listener_.fd(), [this] { on_accept(); });
   }
 
   slots_.resize(static_cast<std::size_t>(opts_.workers));
@@ -963,7 +947,7 @@ StatusOr<ShardReport> Coordinator::run() {
   // Event loop: results, failures, deaths, reconnects, timers.
   while (done_count_ < n_) {
     reap_children();
-    const int timeout_ms = fire_timers();
+    const std::optional<Clock::time_point> next_timer = fire_timers();
 
     // If pending work has nowhere to run, respawn or give up. Work a death
     // stranded counts even if a survivor already took it, so whether a
@@ -1001,72 +985,9 @@ StatusOr<ShardReport> Coordinator::run() {
     }
     if (done_count_ == n_) break;
 
-    std::vector<pollfd> fds;
-    std::vector<int> kinds;  // 0 listener, 1 pending conn, 2 slot, 3 exit
-    std::vector<std::size_t> refs;
-    if (socket_mode_ && listener_.fd() >= 0) {
-      fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-      kinds.push_back(0);
-      refs.push_back(0);
-    }
-    for (std::size_t i = 0; i < pending_conns_.size(); ++i) {
-      fds.push_back(pollfd{pending_conns_[i].chan->poll_fd(), POLLIN, 0});
-      kinds.push_back(1);
-      refs.push_back(i);
-    }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (connected(slots_[i])) {
-        fds.push_back(pollfd{slots_[i].chan->poll_fd(), POLLIN, 0});
-        kinds.push_back(2);
-        refs.push_back(i);
-      }
-    }
-    (void)add_exit_fds(fds, kinds, refs);  // reaped at the top of the loop
-    if (fds.empty() && timeout_ms < 0) continue;  // state changed above
-
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
+    if (!loop_.wait(next_timer)) {
       return Status(StatusCode::kInternal,
                     std::string("coordinator: poll: ") + std::strerror(errno));
-    }
-
-    std::vector<std::size_t> closed_pending;
-    for (std::size_t f = 0; f < fds.size(); ++f) {
-      if (fds[f].revents == 0) continue;
-      if (kinds[f] == 0) {
-        while (auto conn = listener_.accept_connection()) {
-          pending_conns_.push_back(
-              PendingConn{std::move(conn), Clock::now() + window_dur()});
-        }
-        continue;
-      }
-      if (kinds[f] == 3) continue;  // a worker exited: reaped next turn
-      if (kinds[f] == 1) {
-        PendingConn& pc = pending_conns_[refs[f]];
-        std::vector<std::string> lines;
-        const ReadResult r = pc.chan->drain(&lines);
-        if (!lines.empty()) {
-          bind_pending(std::move(pc.chan), std::move(lines));
-          closed_pending.push_back(refs[f]);
-        } else if (r == ReadResult::kClosed) {
-          pc.chan->close();
-          closed_pending.push_back(refs[f]);
-        }
-        continue;
-      }
-      Slot& s = slots_[refs[f]];
-      if (!connected(s)) continue;
-      std::vector<std::string> lines;
-      const ReadResult r = s.chan->drain(&lines);
-      handle_slot_lines(s, lines);
-      if (r == ReadResult::kClosed && !s.dead) on_disconnect(s);
-    }
-    std::sort(closed_pending.rbegin(), closed_pending.rend());
-    for (const std::size_t i : closed_pending) {
-      pending_conns_.erase(pending_conns_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
     }
   }
 

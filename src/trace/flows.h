@@ -3,15 +3,14 @@
 // The paper's Table 1 objects aggregate by network pair and by service
 // port; the natural finer granularity -- the 5-tuple flow with an idle
 // timeout -- is what NetFlow later standardized and what the paper's
-// "geographic flow information" objects foreshadow. The flow table here is
-// a streaming structure: offer packets in time order, flows expire after
-// `idle_timeout` without traffic, expired flows accumulate into a record
-// list for reporting.
+// "geographic flow information" objects foreshadow. This header holds the
+// flow vocabulary (key, hash, record) and the reports over a span of
+// records; the streaming table that assembles them is
+// flow::SampledFlowTable (uncapped at capacity 0).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/trace.h"
@@ -80,50 +79,5 @@ struct FlowStats {
 /// keep their order in `records` (top talkers).
 [[nodiscard]] std::vector<FlowRecord> top_by_packets(
     std::span<const FlowRecord> records, std::size_t n);
-
-/// Streaming flow table with idle-timeout expiry, in hash order. Superseded
-/// by flow::SampledFlowTable(idle_timeout, 0), which finishes the same
-/// records in a deterministic order.
-class [[deprecated(
-    "use flow::SampledFlowTable; removed in the next release")]] FlowTable {
- public:
-  /// Throws std::invalid_argument unless idle_timeout > 0.
-  explicit FlowTable(MicroDuration idle_timeout);
-
-  /// Offer one packet (must be in non-decreasing time order; throws
-  /// std::invalid_argument otherwise). Expires idle flows as time advances.
-  void offer(const PacketRecord& p);
-
-  /// Drive a whole view, then expire everything still active.
-  void run(TraceView view);
-
-  /// Force-expire all active flows (end of measurement).
-  void flush();
-
-  [[nodiscard]] std::size_t active_flows() const { return active_.size(); }
-  [[nodiscard]] const std::vector<FlowRecord>& expired() const {
-    return expired_;
-  }
-
-  /// Expired flows sorted by descending packet count (top talkers).
-  [[nodiscard]] std::vector<FlowRecord> top_by_packets(std::size_t n) const {
-    return trace::top_by_packets(expired_, n);
-  }
-
-  /// Summary across all expired flows.
-  using Stats = FlowStats;
-  [[nodiscard]] Stats stats() const { return flow_stats(expired_); }
-
- private:
-  void expire_idle(MicroTime now);
-
-  MicroDuration idle_timeout_;
-  MicroTime last_time_;
-  MicroTime last_expiry_check_;
-  bool saw_packet_{false};
-  bool checked_expiry_{false};
-  std::unordered_map<FlowKey, FlowRecord, FlowKeyHash> active_;
-  std::vector<FlowRecord> expired_;
-};
 
 }  // namespace netsample::trace

@@ -162,10 +162,17 @@ struct ServerHarness {
 
   explicit ServerHarness(ServeOptions options) : server(std::move(options)) {}
 
-  /// Adopt one client; call for every client BEFORE run_async().
-  TestClient connect() {
+  /// Adopt one client; call for every client BEFORE run_async(). A nonzero
+  /// `server_sndbuf` shrinks the server side's send buffer, so a client
+  /// that stops reading blocks the lane writing its rows.
+  TestClient connect(int server_sndbuf = 0) {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    if (server_sndbuf > 0) {
+      EXPECT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &server_sndbuf,
+                             sizeof server_sndbuf),
+                0);
+    }
     server.adopt_client(shard::make_fd_transport(fds[0], fds[0]));
     return TestClient{shard::make_fd_transport(fds[1], fds[1]), {}};
   }
@@ -632,6 +639,55 @@ TEST(ServeDaemon, StopRequestDrainsOpenSessionsToClosed) {
             reference_rows(spec,
                            std::span<const trace::PacketRecord>(packets)));
   client.transport->close();
+}
+
+// One client stops reading its rows: its lane blocks writing them and its
+// ring fills. The protocol thread must park that client, not wait on it, so
+// another tenant's session runs start to finish meanwhile.
+TEST(ServeDaemon, StalledSessionDoesNotStallOtherClients) {
+  const auto packets = make_packets(8000);
+  const std::span<const trace::PacketRecord> all(packets);
+  const std::span<const trace::PacketRecord> few(packets.data(), 300);
+  SessionSpec stalled = small_spec();
+  stalled.tenant = "a";
+  stalled.ring_capacity = 2;
+  SessionSpec other = small_spec();
+  other.tenant = "b";
+
+  ServeOptions options;
+  options.lanes = 2;  // one for the stalled session, one for everyone else
+  ServerHarness harness{std::move(options)};
+  TestClient a = harness.connect(4096);
+  TestClient b = harness.connect();
+  harness.run_async();
+
+  a.send("OPEN a " + encode_session_spec(stalled));
+  EXPECT_EQ(a.next_line(), "OPENED a");
+  // 80 chunks against a 2-chunk ring, and far more rows than the send
+  // buffer holds; A reads none of them yet.
+  for (std::size_t at = 0; at < packets.size(); at += 100) {
+    a.send("FEED a " + encode_feed_payload(all.subspan(at, 100)));
+  }
+  a.send("CLOSE a");
+
+  b.send("OPEN b " + encode_session_spec(other));
+  EXPECT_EQ(b.next_line(), "OPENED b");
+  b.send("FEED b " + encode_feed_payload(few));
+  b.send("CLOSE b");
+  const auto end_b = b.drain_session("b");
+  EXPECT_EQ(end_b.verdict, "CLOSED");
+  EXPECT_EQ(end_b.rows, reference_rows(other, few));
+  const ServeStats mid = harness.server.stats();
+  EXPECT_EQ(mid.sessions_shed, 0u);
+  EXPECT_GE(mid.active_sessions, 1u);  // A is still open
+
+  const auto end_a = a.drain_session("a");
+  EXPECT_EQ(end_a.verdict, "CLOSED");
+  EXPECT_EQ(end_a.detail, "rows=" + std::to_string(end_a.rows.size()) +
+                              " packets=" + std::to_string(packets.size()));
+  EXPECT_EQ(end_a.rows, reference_rows(stalled, all));
+  a.transport->close();
+  b.transport->close();
 }
 
 }  // namespace

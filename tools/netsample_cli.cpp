@@ -38,6 +38,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -433,20 +434,21 @@ int cmd_watch(ArgParser& args) {
   return 0;
 }
 
-// `serve` leaves cleanly on SIGTERM/SIGINT: the handlers only raise a flag,
-// the daemon's poll loop notices it via ServeOptions::stop_check and drains
-// every open session (final ROWS + CLOSED) before run() returns — the same
-// discipline as the sharded worker's clean departure.
-volatile std::sig_atomic_t g_serve_stop = 0;
-void serve_stop_handler(int) { g_serve_stop = 1; }
+// `serve` leaves cleanly on SIGTERM/SIGINT: the handler calls
+// Server::request_stop() (async-signal-safe), which wakes the daemon's loop
+// to drain every open session (final ROWS + CLOSED) before run() returns —
+// the same discipline as the sharded worker's clean departure.
+std::atomic<serve::Server*> g_serve_server{nullptr};
+void serve_stop_handler(int) {
+  if (serve::Server* server = g_serve_server.load()) server->request_stop();
+}
 
 /// Installs the drain-on-signal handlers for the rest of the process: a
 /// late SIGTERM while the drained daemon tears down must not kill it with
-/// the default action. No SA_RESTART: poll() must wake with EINTR so the
-/// flag is seen promptly. SIGPIPE is ignored — a client that disconnects
+/// the default action. SIGPIPE is ignored — a client that disconnects
 /// mid-write must surface as EPIPE on that transport, not kill the daemon.
-void install_serve_signal_handlers() {
-  g_serve_stop = 0;
+void install_serve_signal_handlers(serve::Server* server) {
+  g_serve_server = server;
   struct sigaction sa{};
   sa.sa_handler = serve_stop_handler;
   sigemptyset(&sa.sa_mask);
@@ -477,13 +479,13 @@ int cmd_serve(ArgParser& args) {
                            args.get_string("max-ring-bytes"), 2000000000));
   sopts.default_budget.max_pps =
       tools::checked_seconds("--max-pps", args.get_string("max-pps"), 1e12);
-  sopts.stop_check = [] { return g_serve_stop != 0; };
 
   serve::Server server(std::move(sopts));
   server.start();  // StatusError on a bad/busy bind (exit 64)
-  install_serve_signal_handlers();  // before scripts can learn the address
+  install_serve_signal_handlers(&server);  // before scripts learn the address
   std::cout << "listening " << server.address() << "\n" << std::flush;
   server.run();
+  g_serve_server = nullptr;  // a late signal must not reach a dead server
 
   const serve::ServeStats s = server.stats();
   std::cerr << "serve: " << s.sessions_opened << " opened, "
@@ -923,14 +925,22 @@ int run_grid(const shard::SweepSpec& spec, exper::Experiment& ex,
 int cmd_score(ArgParser& args, const tools::CommonOptions& common,
               const char* argv0) {
   const shard::CoordinatorOptions flags = shard_flags_from_args(args);
+  // Proportion-based (Section 8) targets score through the categorical
+  // machinery, in-process and unjournaled; "both" / "size" / "iat" use the
+  // paper's histogram targets.
+  const std::string which = args.get_string("target");
+  const bool categorical =
+      which == "ports" || which == "protocols" || which == "netmatrix";
+  if (categorical && (flags.workers > 0 || args.has("resume"))) {
+    throw std::invalid_argument(
+        std::string(flags.workers > 0 ? "--workers" : "--resume") +
+        " does not apply to --target " + which);
+  }
   auto t = load(args.positionals().at(0), args);
   if (!t) return fail(t.status());
   exper::Experiment ex(std::move(*t));
 
-  // Proportion-based (Section 8) targets score through the categorical
-  // machinery; "both" / "size" / "iat" use the paper's histogram targets.
-  const std::string which = args.get_string("target");
-  if (which == "ports" || which == "protocols" || which == "netmatrix") {
+  if (categorical) {
     exper::CellConfig cfg;
     cfg.method = shard::parse_method_token(args.get_string("method"));
     cfg.granularity = static_cast<std::uint64_t>(args.get_int("k"));
@@ -1074,7 +1084,9 @@ int main(int argc, char** argv) {
   args.add_flag("k", "K", "sampling granularity (1-in-k)", "50");
   args.add_flag("reps", "R", "replications", "5");
   args.add_flag("target", "T",
-                "score target: both|size|iat|ports|protocols|netmatrix",
+                "score target: both|size|iat|ports|protocols|netmatrix "
+                "(the categorical ports|protocols|netmatrix run in-process: "
+                "--jobs does not apply, --workers and --resume exit 64)",
                 "both");
   args.add_flag("timeout", "SEC", "flow idle timeout seconds", "30");
   args.add_flag("top", "N", "top talkers to print", "10");
